@@ -73,7 +73,6 @@ from .expressions import (
 from .limits import ArnoldReport, Indistinguishable, arnold_ratio, first_divergence_index
 from .numeric import (
     CSV_HEADER,
-    ComposeFn,
     GeometricSample,
     InverseFn,
     NumericFunction,
@@ -81,7 +80,6 @@ from .numeric import (
     QPolyFn,
     SeriesFn,
     SweepTable,
-    ThetaFn,
     counterexample_pair,
     counterexample_ratio,
     counterexample_sweep,

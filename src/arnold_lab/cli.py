@@ -164,11 +164,13 @@ def _cmd_sweep(args) -> int:
             raise _Usage(f"--xs must be comma-separated numbers: {exc}")
         if not xs:
             raise _Usage("--xs is empty")
+        if not all(math.isfinite(x) for x in xs):
+            raise _Usage("--xs values must be finite")
     else:
         if args.x_min is None or args.x_max is None or args.points is None:
             raise _Usage("need --xs or all of --x-min/--x-max/--points")
-        if not 0.0 < args.x_min < args.x_max:
-            raise _Usage("need 0 < --x-min < --x-max")
+        if not 0.0 < args.x_min < args.x_max < math.inf:
+            raise _Usage("need 0 < --x-min < --x-max < inf")
         if args.points < 1:
             raise _Usage("--points must be >= 1")
         xs = _log_spaced(args.x_min, args.x_max, args.points)

@@ -17,7 +17,6 @@ from .series import (
     Rational,
     TruncatedSeries,
     compose,
-    identity_series,
     pow_binomial,
     rational_to_json,
     scale,
@@ -90,8 +89,3 @@ def lagrange_inverse_oracle(f: TruncatedSeries) -> TruncatedSeries:
         powered = pow_binomial(h_norm.truncate(n - 1), -n)
         b.append(powered.coefficients[n - 1] / (n * a1**n))
     return TruncatedSeries(tuple(b))
-
-
-def is_identity(s: TruncatedSeries) -> bool:
-    """True when s equals the identity series x at its own order."""
-    return s == identity_series(s.order)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BracketInvalid,
@@ -59,8 +57,11 @@ class NumericFunction:
     """A deterministic double -> double function with optional structure.
 
     Subclasses may override inverse() when they know a better realization
-    than generic bisection.
+    than generic bisection.  log_partner names the g for which the pair
+    (self, g) has exact log-space channels; counterexample_pair sets it.
     """
+
+    log_partner: "NumericFunction | None" = None
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
@@ -72,17 +73,13 @@ class NumericFunction:
         return type(self).__name__
 
 
-@lru_cache(maxsize=64)
-def _cached_reversion(series: TruncatedSeries) -> TruncatedSeries:
-    return compositional_inverse(series).inverse
-
-
 class SeriesFn(NumericFunction):
     """Evaluate a truncated series in double precision (Horner)."""
 
     def __init__(self, series: TruncatedSeries):
         self.series = series
         self._floats = tuple(float(c) for c in series.coefficients)
+        self._inverse: SeriesFn | None = None
 
     def __call__(self, x: float) -> float:
         acc = 0.0
@@ -91,19 +88,13 @@ class SeriesFn(NumericFunction):
         return acc
 
     def inverse(self) -> "SeriesFn":
-        # exact series reversion, evaluated as floats like everything else
-        return SeriesFn(_cached_reversion(self.series))
+        # exact series reversion, done once, evaluated as floats like everything else
+        if self._inverse is None:
+            self._inverse = SeriesFn(compositional_inverse(self.series).inverse)
+        return self._inverse
 
     def describe(self) -> str:
         return f"series(order={self.series.order})"
-
-
-class ThetaFn(NumericFunction):
-    def __call__(self, x: float) -> float:
-        return theta(x)
-
-    def describe(self) -> str:
-        return "theta"
 
 
 class _SampledMonotone(NumericFunction):
@@ -146,21 +137,6 @@ class PFlatFn(_SampledMonotone):
 
     def describe(self) -> str:
         return "p"
-
-
-class ComposeFn(NumericFunction):
-    def __init__(self, outer: NumericFunction, inner: NumericFunction):
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, x: float) -> float:
-        return self.outer(self.inner(x))
-
-    def inverse(self) -> NumericFunction:
-        return ComposeFn(self.inner.inverse(), self.outer.inverse())
-
-    def describe(self) -> str:
-        return f"compose({self.outer.describe()}, {self.inner.describe()})"
 
 
 class InverseFn(NumericFunction):
@@ -262,22 +238,13 @@ class GeometricSample:
     flags: tuple[str, ...] = ()
 
 
-def _is_counterexample_pair(f: NumericFunction, g: NumericFunction) -> bool:
-    return (
-        isinstance(f, InverseFn)
-        and isinstance(f.base, PFlatFn)
-        and isinstance(g, InverseFn)
-        and isinstance(g.base, QPolyFn)
-    )
-
-
 def _counterexample_sample(
-    f: InverseFn, g: InverseFn, x: float, flags: list[str]
+    x: float, u: float, v: float, flags: list[str]
 ) -> GeometricSample:
     """Log-channel evaluation for the pair f = p_inv, g = q_inv.
 
     Structure gives exact identities that bypass catastrophic subtraction:
-    with u = p_inv(x), v = t = q_inv(x):
+    with u = p_inv(x), v = t = q_inv(x) already evaluated by the caller:
 
         BC  = |x - p(t)|  = theta(t)          (because q(t) = x)
         ED  = |p(x) - q(x)| = theta(x)
@@ -285,8 +252,6 @@ def _counterexample_sample(
         DDp = |x - q(x)| = x^2                (g_inv is q itself)
         FDp = BC                              (F convention)
     """
-    u = f(x)
-    v = g(x)
     log_ab = log_theta(u) - math.log1p(u + v)
     log_bc = log_theta(v)
     log_ed = log_theta(x)
@@ -319,7 +284,9 @@ def geometric_sample(f: NumericFunction, g: NumericFunction, x: float) -> Geomet
     Valid configurations: f(x) = g(x) (degenerate, ratios indeterminate),
     or f(x) and g(x) on the same side of the diagonal with g strictly off
     it; that covers both the f > g > id picture and its mirror image
-    f < g < id, which is where the counterexample pair lives.
+    f < g < id, which is where the counterexample pair lives.  A pair
+    with f.log_partner set to g takes its lengths from log-space identities
+    instead of subtracting doubles.
     """
     fx = f(x)
     gx = g(x)
@@ -335,8 +302,8 @@ def geometric_sample(f: NumericFunction, g: NumericFunction, x: float) -> Geomet
         if fx < gx:
             flags.append("mirrored")
 
-    if _is_counterexample_pair(f, g):
-        return _counterexample_sample(f, g, x, flags)
+    if f.log_partner is g:
+        return _counterexample_sample(x, fx, gx, flags)
 
     f_inv = f.inverse()
     g_inv = g.inverse()
@@ -474,10 +441,14 @@ def _format_double(v: float) -> str:
 
 
 def thread_cap(row_count: int) -> int:
-    """Worker count for sweeps: ARNOLD_LAB_THREADS if set, else modest."""
+    """The validated ARNOLD_LAB_THREADS, or 1 when it is unset.
+
+    Sweeps run sequentially whatever the value, and row_count is ignored;
+    the variable is still checked so that a malformed one is rejected.
+    """
     raw = os.environ.get("ARNOLD_LAB_THREADS")
     if raw is None:
-        return max(1, min(8, row_count))
+        return 1
     try:
         value = int(raw)
     except ValueError:
@@ -502,11 +473,8 @@ def sweep(
     g: NumericFunction,
     xs: list[float] | tuple[float, ...],
 ) -> SweepTable:
-    """One GeometricSample per abscissa; per-row failures become flags.
-
-    Rows are evaluated in a thread pool (all sampling is pure) but the
-    output order and values are identical to sequential evaluation.
-    """
+    """One GeometricSample per abscissa, in input order, evaluated one
+    after another; per-row failures become flags."""
     xs = [float(x) for x in xs]
     if not xs:
         raise InvalidInput("sweep needs at least one abscissa")
@@ -521,12 +489,7 @@ def sweep(
         except (BracketInvalid, NotMonotone):
             return _flagged_row(x, "unresolved")
 
-    workers = thread_cap(len(xs))
-    if workers == 1:
-        rows = [row(x) for x in xs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, xs))
+    rows = [row(x) for x in xs]
     bracket = getattr(f, "bracket", None)
     tol = getattr(f, "tol", None)
     return SweepTable(
@@ -545,11 +508,13 @@ def counterexample_pair(
     """The C-infinity pair: f = p_inv, g = q_inv with p = q + theta.
 
     p and q are explicit; f and g are realized by bisection, which is why
-    the pair is built on the inverse side.
+    the pair is built on the inverse side.  f.log_partner is g, so
+    geometric_sample evaluates this pair in log space.
     """
-    p = PFlatFn(bracket)
-    q = QPolyFn(bracket)
-    return InverseFn(p, bracket, tol), InverseFn(q, bracket, tol)
+    f = InverseFn(PFlatFn(bracket), bracket, tol)
+    g = InverseFn(QPolyFn(bracket), bracket, tol)
+    f.log_partner = g
+    return f, g
 
 
 def counterexample_sweep(t_values: list[float] | tuple[float, ...]) -> SweepTable:

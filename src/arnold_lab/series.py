@@ -234,14 +234,6 @@ def integrate(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def binomial_coefficient(alpha: Rational, k: int) -> Rational:
-    """Generalized C(alpha, k) over the rationals, by the multiplicative recurrence."""
-    c = Fraction(1)
-    for i in range(1, k + 1):
-        c = c * (alpha - (i - 1)) / i
-    return c
-
-
 def pow_binomial(base: TruncatedSeries, exponent: RationalLike) -> TruncatedSeries:
     """base^exponent for rational exponents, via the binomial series.
 
@@ -284,7 +276,7 @@ def rational_to_json(r: Rational) -> dict:
 def rational_from_json(obj: dict) -> Rational:
     try:
         return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed rational object: {obj!r}") from exc
 
 

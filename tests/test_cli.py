@@ -113,6 +113,17 @@ class TestInvert:
         proc = run_cli("invert", "--series-json", "{not json")
         assert proc.returncode == 3
 
+    def test_zero_denominator_is_domain_error(self):
+        blob = json.dumps(
+            {
+                "order": 1,
+                "coefficients": [{"num": "0", "den": "1"}, {"num": "1", "den": "0"}],
+            }
+        )
+        proc = run_cli("invert", "--series-json", blob)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
     def test_expr_and_json_conflict(self):
         proc = run_cli("invert", "--expr", "x", "--series-json", "{}", "--order", "3")
         assert proc.returncode == 4
@@ -230,6 +241,21 @@ class TestSweep:
     def test_bad_xs_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--xs", "0.3,abc")
         assert proc.returncode == 4
+        # non-finite abscissas would otherwise print unflagged NaN rows
+        for grid in (
+            ["--xs", "nan"],
+            ["--xs", "inf,0.1"],
+            ["--xs", "0.1,nan"],
+            ["--x-min", "0.1", "--x-max", "inf", "--points", "3"],
+        ):
+            proc = run_cli("sweep", "--f", "x", "--g", "sin", *grid)
+            assert proc.returncode == 4, grid
+
+    def test_negative_xs_are_mirrored(self):
+        proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs=-0.1,-0.2")
+        assert proc.returncode == 0
+        rows = proc.stdout.strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["mirrored", "mirrored"]
 
     def test_missing_grid_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--x-min", "0.1")

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from arnold_lab import numeric
 from arnold_lab import (
     BracketInvalid,
     ConfigurationViolated,
@@ -129,6 +130,17 @@ class TestCounterexampleChannels:
         # ED is theta at the abscissa itself
         assert s.ED == pytest.approx(theta(0.11), rel=1e-12)
 
+    def test_one_bisection_per_inverse(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return numeric_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, "numeric_inverse", counting)
+        geometric_sample(self.f, self.g, 0.01)
+        assert len(calls) == 2
+
     def test_divergence_diagnostic_frozen(self):
         q = self.g.inverse()
         expected = {0.1: 5.58545017362, 0.01: 90.8095602897, 0.001: 986.186488443}
@@ -168,6 +180,9 @@ class TestGeometricSampleGeneric:
         g = SeriesFn(eval_text("x", 6))
         with pytest.raises(ConfigurationViolated):
             geometric_sample(f, g, 0.1)
+
+    def test_series_inverse_is_built_once(self):
+        assert self.f.inverse() is self.f.inverse()
 
     def test_series_and_bisection_inverses_agree(self):
         series = eval_text("tan o sin", 12)
@@ -294,6 +309,20 @@ class TestSweep:
         assert obj["metadata"]["g"] == "inverse(q)"
         assert len(obj["rows"]) == 1
         assert obj["rows"][0]["ratio_BC_ED"] == pytest.approx(0.402890321529, rel=1e-9)
+
+    def test_series_sweep_reverts_each_function_once(self, monkeypatch):
+        calls = []
+
+        def counting(series):
+            calls.append(series)
+            return compositional_inverse(series)
+
+        monkeypatch.setattr(numeric, "compositional_inverse", counting)
+        f = SeriesFn(eval_text("tan o sin", 12))
+        g = SeriesFn(eval_text("sin o tan", 12))
+        table = sweep(f, g, [0.3, 0.2, 0.1])
+        assert len(table.rows) == 3
+        assert len(calls) == 2
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         monkeypatch.setenv("ARNOLD_LAB_THREADS", "1")
