@@ -146,9 +146,7 @@ def _cmd_counterexample(args) -> int:
     t_min, t_max, points = args.t_min, args.t_max, args.points
     if not 0.0 < t_min < t_max < 0.5:
         raise _Usage("need 0 < --t-min < --t-max < 0.5")
-    if points < 1:
-        raise _Usage("--points must be >= 1")
-    table = numeric.counterexample_sweep(_log_spaced(t_min, t_max, points))
+    table = numeric.counterexample_sweep(_log_spaced(t_min, t_max, _positive(points, "--points")))
     _emit(_table_text(table, args.format), args.out)
     return EXIT_OK
 
@@ -171,9 +169,7 @@ def _cmd_sweep(args) -> int:
             raise _Usage("need --xs or all of --x-min/--x-max/--points")
         if not 0.0 < args.x_min < args.x_max < math.inf:
             raise _Usage("need 0 < --x-min < --x-max < inf")
-        if args.points < 1:
-            raise _Usage("--points must be >= 1")
-        xs = _log_spaced(args.x_min, args.x_max, args.points)
+        xs = _log_spaced(args.x_min, args.x_max, _positive(args.points, "--points"))
     table = sweep(f, g, xs)
     _emit(_table_text(table, args.format), args.out)
     if all("configuration_violated" in r.flags or "unresolved" in r.flags for r in table.rows):
@@ -194,7 +190,7 @@ def _positive(value: int, flag: str) -> int:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise InvalidInput(f"malformed JSON: {exc}") from exc
 
 

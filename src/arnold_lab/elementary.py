@@ -1,15 +1,15 @@
 """Exact Taylor generators for the named primitives, and AST evaluation.
 
-sin and cos come from the factorial closed forms; tan is their exact
-quotient; arctan and arcsin are exact binomial integrals.  All of them are
-series of rationals, so identities like sin^2 + cos^2 = 1 hold with zero
-tolerance and make good engine self-checks.
+sin, cos, arctan and arcsin come from their closed-form coefficients; tan
+is the exact quotient of sin by cos.  All of them are series of rationals,
+so identities like sin^2 + cos^2 = 1 hold with zero tolerance and make good
+engine self-checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable
 
 from . import expressions as ex
@@ -20,13 +20,10 @@ from .series import (
     compose,
     divide,
     identity_series,
-    integrate,
     make_series,
     monomial_series,
-    pow_binomial,
     scale,
     sub,
-    zero_series,
 )
 
 
@@ -49,19 +46,17 @@ def tan_series(order: int) -> TruncatedSeries:
 
 
 def arctan_series(order: int) -> TruncatedSeries:
-    """Integral of 1/(1 + x^2), built through the binomial power."""
-    if order == 0:
-        return zero_series(0)
-    base = add(make_series([1] + [0] * (order - 1)), monomial_series(1, 2, order - 1))
-    return integrate(pow_binomial(base, Fraction(-1)))
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        coeffs[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
+    return make_series(coeffs)
 
 
 def arcsin_series(order: int) -> TruncatedSeries:
-    """Integral of (1 - x^2)^(-1/2), built through the binomial power."""
-    if order == 0:
-        return zero_series(0)
-    base = sub(make_series([1] + [0] * (order - 1)), monomial_series(1, 2, order - 1))
-    return integrate(pow_binomial(base, Fraction(-1, 2)))
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        coeffs[2 * k + 1] = Fraction(comb(2 * k, k), 4**k * (2 * k + 1))
+    return make_series(coeffs)
 
 
 PRIMITIVES: dict[str, Callable[[int], TruncatedSeries]] = {

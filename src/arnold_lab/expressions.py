@@ -108,6 +108,10 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j] in "0123456789":
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(start, ("shorter integer",), f"{j - i}-digit integer") from None
             tokens.append(_Token("int", text[i:j], start))
             byte_pos += j - i
             i = j
@@ -143,8 +147,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    # parenthesis depth is capped so that pathological inputs produce a
-    # ParseError instead of blowing the interpreter stack
+    # enclosing parentheses plus the chain operators before a token are capped,
+    # so that pathological inputs produce a ParseError instead of blowing the
+    # interpreter stack, here or in whatever walks the returned tree
     MAX_DEPTH = 200
 
     def __init__(self, tokens: list[_Token]):
@@ -165,6 +170,11 @@ class _Parser:
         tok = self.current
         found = tok.text if tok.kind == "end" else repr(tok.text)
         return ParseError(tok.offset, expected, found)
+
+    def descend(self) -> None:
+        if self.depth >= self.MAX_DEPTH:
+            raise self.fail(("less deeply nested input",))
+        self.depth += 1
 
     def expect(self, kind: str) -> _Token:
         if self.current.kind != kind:
@@ -195,6 +205,7 @@ class _Parser:
     def parse_expr(self) -> FunctionExpr:
         node = self.parse_term()
         while self.current.kind in ("+", "-"):
+            self.descend()
             op = self.advance().kind
             right = self.parse_term()
             node = Sum(node, right) if op == "+" else Difference(node, right)
@@ -210,6 +221,7 @@ class _Parser:
     def parse_factor(self) -> FunctionExpr:
         primaries = [self.parse_primary()]
         while self.current.kind == "o":
+            self.descend()
             self.advance()
             primaries.append(self.parse_primary())
         node = primaries[-1]
@@ -233,17 +245,18 @@ class _Parser:
                     raise ParseError(exp_tok.offset, ("positive integer",), repr(exp_tok.text))
             return Monomial(Fraction(1), exponent)
         if self.at_rational():
-            coefficient = self.parse_rational()
-            self.expect("*")
+            coefficient = Fraction(1)
+            while self.at_rational():  # a run of coefficients folds into one Scale
+                coefficient *= self.parse_rational()
+                self.expect("*")
             return _scaled(coefficient, self.parse_primary())
         if tok.kind == "(":
-            if self.depth >= self.MAX_DEPTH:
-                raise ParseError(tok.offset, ("less deeply nested input",), repr(tok.text))
-            self.depth += 1
+            depth = self.depth
+            self.descend()
             self.advance()
             node = self.parse_expr()
             self.expect(")")
-            self.depth -= 1
+            self.depth = depth
             return node
         raise self.fail(("name", "x", "rational", "("))
 
@@ -269,10 +282,6 @@ def parse(text: str) -> FunctionExpr:
 # rendering; parse(render(ast)) is structurally equal to ast for any
 # canonical tree (Scale never directly over Monomial or Scale)
 
-def _format_rational(r: Fraction) -> str:
-    return str(r)
-
-
 def _render_compose_operand(node: FunctionExpr) -> str:
     if isinstance(node, Primitive):
         return node.name
@@ -285,7 +294,7 @@ def _render_monomial(node: Monomial) -> str:
     base = "x" if node.exponent == 1 else f"x^{node.exponent}"
     if node.coefficient == 1:
         return base
-    return f"{_format_rational(node.coefficient)} * {base}"
+    return f"{node.coefficient} * {base}"
 
 
 def _render_term(node: FunctionExpr) -> str:
@@ -309,7 +318,7 @@ def render(ast: FunctionExpr) -> str:
             child = ast.child.name
         else:
             child = f"({render(ast.child)})"
-        return f"{_format_rational(ast.coefficient)} * {child}"
+        return f"{ast.coefficient} * {child}"
     if isinstance(ast, Compose):
         left = _render_compose_operand(ast.outer)
         if isinstance(ast.inner, Compose):

@@ -3,8 +3,8 @@
 Two independent routes are provided.  compositional_inverse solves the
 triangular system read off from f(inverse(x)) = x one coefficient at a
 time; lagrange_inverse_oracle assembles the same series from the Lagrange
-inversion formula.  They must agree exactly, and the test suite holds them
-to that.
+inversion formula and Miller's powers.  They must agree exactly, and the
+test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import NotInvertible
 from .series import (
     Rational,
     TruncatedSeries,
-    compose,
     pow_binomial,
     rational_to_json,
     scale,
@@ -55,23 +54,23 @@ def _check_invertible(f: TruncatedSeries) -> Rational:
 def compositional_inverse(f: TruncatedSeries) -> InverseWitness:
     """Invert f by the triangular solve hiding in compose(f, inverse) = x.
 
-    Coefficient n of compose(f, b) is affine in b_n with slope a1 once
-    b_1 .. b_(n-1) are fixed.  So: evaluate the composition with b_n = 0,
-    read off coefficient n, and correct b_n by the shortfall over a1.
+    Coefficient n of compose(f, b) is a1 b_n + sum_{k=2..n} a_k [x^n] b^k,
+    where [x^n] b^k = sum_j b_j [x^(n-j)] b^(k-1) only involves b_1 .. b_(n-1):
+    grow a table of the powers of b by one column per step, then pick the
+    b_n that makes coefficient n vanish.  O(n^3) rational operations.
     """
     a1 = _check_invertible(f)
-    order = f.order
+    a = f.coefficients
     b = [Fraction(0), 1 / a1]
-    for n in range(2, order + 1):
-        b.append(Fraction(0))
-        partial = TruncatedSeries(tuple(b))
-        constant_part = compose(f.truncate(n), partial).coefficients[n]
+    powers = [None, b]  # powers[k][m] = [x^m] b^k
+    for n in range(2, f.order + 1):
+        powers.append([Fraction(0)] * n)
+        for k in range(2, n + 1):
+            powers[k].append(sum(b[j] * powers[k - 1][n - j] for j in range(1, n - k + 2) if b[j]))
         # target coefficient of x^n in the identity is 0
-        b[n] = -constant_part / a1
+        b.append(-sum(a[k] * powers[k][n] for k in range(2, n + 1) if a[k]) / a1)
     inverse = TruncatedSeries(tuple(b))
-    residuals = tuple(
-        b[n] + f.coefficients[n] / a1 ** (n + 1) for n in range(2, order + 1)
-    )
+    residuals = tuple(b[n] + a[n] / a1 ** (n + 1) for n in range(2, f.order + 1))
     return InverseWitness(inverse=inverse, residuals=residuals)
 
 

@@ -78,7 +78,10 @@ class SeriesFn(NumericFunction):
 
     def __init__(self, series: TruncatedSeries):
         self.series = series
-        self._floats = tuple(float(c) for c in series.coefficients)
+        try:
+            self._floats = tuple(float(c) for c in series.coefficients)
+        except OverflowError:
+            raise InvalidInput("a series coefficient is too large for a double") from None
         self._inverse: SeriesFn | None = None
 
     def __call__(self, x: float) -> float:
@@ -251,6 +254,7 @@ def _counterexample_sample(
         AB  = v - u = theta(u) / (1 + u + v)  (divided difference of q)
         DDp = |x - q(x)| = x^2                (g_inv is q itself)
         FDp = BC                              (F convention)
+        BC/ED = exp(-1/(1 + v))   AB/BC = exp(-log1p(u + v) - AB/(u v))
     """
     log_ab = log_theta(u) - math.log1p(u + v)
     log_bc = log_theta(v)
@@ -270,8 +274,9 @@ def _counterexample_sample(
         ED=ed,
         DDp=ddp,
         FDp=fdp,
-        ratio_AB_BC=_exp(log_ab - log_bc),
-        ratio_BC_ED=_exp(log_bc - log_ed),
+        # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
+        ratio_AB_BC=_exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0)),
+        ratio_BC_ED=_exp(-1.0 / (1.0 + v)),
         ratio_DDp_FDp=_exp(log_ddp - log_fdp),
         log_ratio_DDp_FDp=log_ddp - log_fdp,
         flags=tuple(flags),

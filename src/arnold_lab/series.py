@@ -117,10 +117,7 @@ class TruncatedSeries:
 
 def make_series(coefficients: Sequence[RationalLike] | Iterable[RationalLike]) -> TruncatedSeries:
     """Build a series from coefficients of x^0, x^1, ...; order = len - 1."""
-    coeffs = tuple(as_rational(c) for c in coefficients)
-    if not coeffs:
-        raise InvalidInput("a series needs at least the constant coefficient")
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(tuple(as_rational(c) for c in coefficients))
 
 
 def zero_series(order: int) -> TruncatedSeries:
@@ -133,9 +130,7 @@ def one_series(order: int) -> TruncatedSeries:
 
 def identity_series(order: int) -> TruncatedSeries:
     """The series x, truncated to the given order (just [0] at order 0)."""
-    if order == 0:
-        return zero_series(0)
-    return TruncatedSeries((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+    return monomial_series(1, 1, order)
 
 
 def monomial_series(coefficient: RationalLike, exponent: int, order: int) -> TruncatedSeries:
@@ -235,27 +230,21 @@ def integrate(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def pow_binomial(base: TruncatedSeries, exponent: RationalLike) -> TruncatedSeries:
-    """base^exponent for rational exponents, via the binomial series.
+    """base^exponent for rational exponents, by J.C.P. Miller's recurrence.
 
-    Requires base(0) = 1 exactly, so that (1 + u)^alpha = sum C(alpha,k) u^k
-    with u of positive valuation stays in exact rationals.
+    Requires base(0) = 1 exactly, so that P = base^alpha has P_0 = 1 and
+    k P_k = sum_{j=1..k} ((alpha + 1) j - k) a_j P_(k-j) stays in exact
+    rationals (Knuth, TAOCP vol. 2, section 4.7).  O(n^2) operations.
     """
     alpha = as_rational(exponent)
-    if base.coefficients[0] != 1:
+    a = base.coefficients
+    if a[0] != 1:
         raise BinomialDomain("binomial power needs constant term exactly 1")
-    n = base.order
-    u = TruncatedSeries((Fraction(0),) + base.coefficients[1:])
-    acc = one_series(n)
-    term = one_series(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        term = mul(term, u)
-        if all(t == 0 for t in term.coefficients):
-            break
-        c = c * (alpha - (k - 1)) / k
-        if c != 0:
-            acc = add(acc, scale(term, c))
-    return acc
+    p = [Fraction(1)]
+    for k in range(1, base.order + 1):
+        total = sum(((alpha + 1) * j - k) * a[j] * p[k - j] for j in range(1, k + 1) if a[j])
+        p.append(Fraction(total, k))
+    return TruncatedSeries(tuple(p))
 
 
 def valuation(s: TruncatedSeries) -> int | FlatToOrder:
@@ -273,9 +262,16 @@ def rational_to_json(r: Rational) -> dict:
     return {"num": str(r.numerator), "den": str(r.denominator)}
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer or a decimal-integer string; a float or bool is neither."""
+    if type(value) is int or (isinstance(value, str) and value.lstrip("+-").isdigit()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def rational_from_json(obj: dict) -> Rational:
     try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed rational object: {obj!r}") from exc
 
@@ -289,7 +285,7 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
 def series_from_json(obj: dict) -> TruncatedSeries:
     try:
-        order = int(obj["order"])
+        order = _json_int(obj["order"])
         coeffs = [rational_from_json(c) for c in obj["coefficients"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed series object: {obj!r}") from exc

@@ -124,6 +124,19 @@ class TestInvert:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
 
+    def test_non_integer_json_is_domain_error(self):
+        zero = '{"num": "0", "den": "1"}'
+        blobs = [
+            '{"order": 1, "coefficients": [%s, {"num": 1.9, "den": "1"}]}' % zero,
+            '{"order": 1, "coefficients": [%s, {"num": 1, "den": true}]}' % zero,
+            '{"order": 1e400, "coefficients": [%s]}' % zero,
+            '{"order": 1, "coefficients": [%s, {"num": 1e400, "den": 1}]}' % zero,
+        ]
+        for blob in blobs:
+            proc = run_cli("invert", "--series-json", blob)
+            assert proc.returncode == 3, blob
+            assert "Traceback" not in proc.stderr, blob
+
     def test_expr_and_json_conflict(self):
         proc = run_cli("invert", "--expr", "x", "--series-json", "{}", "--order", "3")
         assert proc.returncode == 4

@@ -1,0 +1,119 @@
+"""Hypothesis fuzz of the command line, in-process: whatever the argv,
+console_main ends with one of the documented exit codes, never a traceback."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arnold_lab.cli import console_main
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+
+# the expression language's tokens and a few near misses, so that random
+# text parses often and otherwise fails somewhere interesting
+_TOKENS = ("sin", "cos", "tan", "arcsin", "arctan", "id", "foo", "x", "o", "∘",
+           "+", "-", "*", "/", "^", "(", ")", "0", "1", "2", "7", " ")
+
+expressions = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+    st.sampled_from(["tan o sin", "sin o tan", "arcsin o arctan", "x + x^2", "x"]),
+    st.builds(lambda op, n: op.join(["sin"] * n), st.sampled_from([" o ", " + "]),
+              st.integers(1, 3000)),
+)
+orders = st.one_of(st.integers(-1, 12).map(str), st.sampled_from(["abc", "1.5", ""]))
+reals = st.one_of(
+    st.floats(min_value=1e-30, max_value=1.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.1", "0.49", "1e-320", "abc"]),
+)
+points = st.integers(-1, 5).map(str)
+xs_lists = st.lists(
+    st.sampled_from(["0.3", "0.2", "0.1", "0.01", "-0.1", "0", "1e-320", "1e300",
+                     "nan", "inf", "-inf", "abc", ""]),
+    max_size=4,
+).map(",".join)
+
+# JSON values for "order", "num" and "den": integers and integer strings,
+# and the values that are not integers (floats, Infinity, NaN, bools, null)
+json_values = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([1.9, float("inf"), float("nan"), True, False, None,
+                     "1/2", " 1", "", "1.0", "0x1"]),
+)
+
+
+def _series_blob(order, pairs):
+    coefficients = [{"num": num, "den": den} for num, den in pairs]
+    if order == "fit":
+        order = len(coefficients) - 1
+    return json.dumps({"order": order, "coefficients": coefficients})
+
+
+series_blobs = st.one_of(
+    st.builds(
+        _series_blob,
+        st.one_of(st.just("fit"), json_values),
+        st.lists(st.tuples(json_values, json_values), max_size=5),
+    ),
+    st.text(max_size=12),
+)
+
+
+def flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def maybe(parts):
+    return st.one_of(st.just([]), parts)
+
+
+def command(*parts):
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+formats = st.sampled_from(["json", "text", "csv"])
+
+argvs = st.one_of(
+    command(st.just(["eval"]), flag("--expr", expressions), flag("--order", orders),
+            maybe(flag("--format", formats))),
+    command(st.just(["invert"]),
+            st.one_of(flag("--expr", expressions), flag("--series-json", series_blobs)),
+            maybe(flag("--order", orders)), maybe(st.just(["--with-residuals"]))),
+    command(st.just(["limit"]), flag("--f", expressions), flag("--g", expressions),
+            flag("--order", orders)),
+    command(st.just(["counterexample"]), flag("--t-min", reals), flag("--t-max", reals),
+            flag("--points", points), maybe(flag("--format", formats))),
+    command(st.just(["sweep"]), flag("--f", expressions), flag("--g", expressions),
+            st.one_of(
+                flag("--xs", xs_lists),
+                command(flag("--x-min", reals), flag("--x-max", reals), flag("--points", points)),
+            ),
+            maybe(flag("--order", orders)), maybe(flag("--format", formats))),
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return console_main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=200)
+@given(argv=argvs)
+@example(argv=["eval", "--expr", " o ".join(["sin"] * 1000), "--order", "3"])
+@example(argv=["eval", "--expr", " + ".join(["x"] * 1000), "--order", "3"])
+@example(argv=["eval", "--expr", "2 * " * 1000 + "x", "--order", "3"])
+@example(argv=["eval", "--expr", "1" * 5000 + " * x", "--order", "3"])
+@example(argv=["sweep", "--f", "1" * 400 + " * x", "--g", "x", "--xs", "0.1"])
+@example(argv=["invert", "--series-json", '{"order": 1e400, "coefficients": []}'])
+@example(argv=["invert", "--series-json", '{"order": 1, "coefficients": '
+                                          '[{"num": 0, "den": 1}, {"num": 1e400, "den": 1}]}'])
+@example(argv=["invert", "--series-json", '{"order": %s, "coefficients": []}' % ("1" * 5000)])
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    assert run(argv) in DOCUMENTED_EXIT_CODES

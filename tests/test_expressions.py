@@ -115,6 +115,9 @@ class TestParseErrors:
     def test_deep_nesting_is_an_error_not_a_crash(self):
         with pytest.raises(ParseError):
             parse("(" * 5000)
+        for chain in (" o ".join(["sin"] * 3000), " + ".join(["x"] * 3000)):
+            with pytest.raises(ParseError):
+                parse(chain)
 
     def test_json_shape(self):
         with pytest.raises(ParseError) as info:

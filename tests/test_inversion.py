@@ -11,10 +11,12 @@ from arnold_lab import (
     NotInvertible,
     compose,
     compositional_inverse,
+    eval_text,
     identity_series,
     lagrange_inverse_oracle,
     make_series,
 )
+from arnold_lab import series
 from helpers import random_invertible_series, random_rational
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -159,3 +161,21 @@ class TestElementaryPairs:
         f = random_invertible_series(rng, max_order=10)
         # the seeded generator and hypothesis cover different corners
         assert compose(f, compositional_inverse(f).inverse) == identity_series(f.order)
+
+    def test_power_table_solve_takes_no_series_products(self, monkeypatch):
+        f = eval_text("tan o sin", 24)
+        calls = []
+        multiply = series.mul
+
+        def counting(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        monkeypatch.setattr(series, "mul", counting)
+        compositional_inverse(f)
+        assert calls == []
+
+    def test_oracle_equality_at_order_40(self):
+        for text in ("tan o sin", "arcsin o arctan", "tan o arcsin", "arctan o sin"):
+            f = eval_text(text, 40)
+            assert compositional_inverse(f).inverse == lagrange_inverse_oracle(f), text

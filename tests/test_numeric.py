@@ -141,6 +141,12 @@ class TestCounterexampleChannels:
         geometric_sample(self.f, self.g, 0.01)
         assert len(calls) == 2
 
+    def test_bc_ed_bound_holds_down_to_tiny_t(self):
+        ts = [10 ** (-k / 4) for k in range(4, 81)]  # 0.1 down to 1e-20
+        table = counterexample_sweep(ts)
+        for t, row in zip(ts, table.rows):
+            assert abs(row.ratio_BC_ED - E_INV) <= 0.4 * t, t
+
     def test_divergence_diagnostic_frozen(self):
         q = self.g.inverse()
         expected = {0.1: 5.58545017362, 0.01: 90.8095602897, 0.001: 986.186488443}
