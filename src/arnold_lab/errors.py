@@ -47,7 +47,7 @@ class UnresolvedAtOrder(ArnoldLabError):
 
 
 class BracketInvalid(ArnoldLabError):
-    """The target value is not enclosed by the bisection bracket."""
+    """The target value is not enclosed by the bracket."""
 
 
 class NotMonotone(ArnoldLabError):

@@ -16,6 +16,26 @@ from arnold_lab.expressions import (
     Sum,
 )
 
+
+def bisection_inverse(f, y: float, bracket: tuple[float, float]) -> float:
+    """The oracle for numeric_inverse: plain bisection of the bracket.
+
+    Halve until the ends are adjacent doubles, with the update rule and
+    stop condition numeric_inverse keeps, and return 0.5 * (lo + hi).
+    There is no iteration cap, so tiny targets get their exact double.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    increasing = f(hi) >= f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) < y) == increasing:
+            lo = mid
+        else:
+            hi = mid
+
+
 # small coefficients keep bignum growth inside the reversion benign
 def random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:

@@ -251,6 +251,14 @@ class TestSweep:
         assert proc.returncode == 5
         assert "configuration_violated" in proc.stdout
 
+    def test_overflowing_rows_are_violated(self):
+        # both series overflow to inf there, and inf == inf must not read as f(x) = g(x)
+        for xs in ("1e300,1e200", "1e160,1e155"):
+            proc = run_cli("sweep", "--f", "x + x^2", "--g", "x + 2 * x^2", "--xs", xs)
+            assert proc.returncode == 5
+            assert proc.stdout.count("configuration_violated") == 2
+            assert "indeterminate" not in proc.stdout
+
     def test_bad_xs_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--xs", "0.3,abc")
         assert proc.returncode == 4

@@ -33,7 +33,9 @@ from arnold_lab import (
     sweep,
     theta,
 )
-from arnold_lab.numeric import CSV_HEADER, thread_cap
+from arnold_lab.numeric import CSV_HEADER, NumericFunction, thread_cap
+
+from helpers import bisection_inverse
 
 E_INV = 0.36787944117144233
 
@@ -84,6 +86,37 @@ class TestNumericInverse:
     def test_decreasing_function(self):
         down = SeriesFn(make_series([1, -1]))  # 1 - x
         assert numeric_inverse(down, 0.25, (0.0, 1.0)) == pytest.approx(0.75, abs=1e-12)
+
+    def test_same_double_as_bisection(self):
+        ys = [1e-40 * 0.7e40 ** (i / 199) for i in range(200)]  # 1e-40 up to 0.7
+        cases = [(PFlatFn((0.0, 0.5)), (0.0, 0.5), ys), (QPolyFn((0.0, 0.5)), (0.0, 0.5), ys)]
+        down = SeriesFn(make_series([1, -1]))  # 1 - x, decreasing
+        cases.append((down, (0.0, 1.0), [i / 97 for i in range(98)] + [1e-30, 1 - 1e-12]))
+        for fn, bracket, targets in cases:
+            for y in targets + [fn(bracket[0]), fn(bracket[1])]:
+                assert numeric_inverse(fn, y, bracket) == bisection_inverse(fn, y, bracket), y
+
+    def test_tiny_target_is_exact(self):
+        q = QPolyFn((0.0, 0.5))
+        assert numeric_inverse(q, 1e-100, (0.0, 0.5)) == pytest.approx(1e-100, rel=1e-15, abs=0)
+
+    def test_few_evaluations_per_flat_inverse(self):
+        p = PFlatFn((0.0, 0.5))
+        q = QPolyFn((0.0, 0.5))
+
+        class Counting(NumericFunction):
+            calls = 0
+
+            def __call__(self, x):
+                self.calls += 1
+                return p(x)
+
+        counting = Counting()
+        ts = [10 ** (-1 - 5.5 * i / 99) for i in range(100)]  # 0.1 down to 3e-7
+        for t in ts:
+            numeric_inverse(counting, q(t), (0.0, 0.5))
+        # bisection to adjacent doubles takes about 67
+        assert counting.calls / len(ts) <= 16
 
 
 class TestMonotoneConstruction:
@@ -146,6 +179,10 @@ class TestCounterexampleChannels:
         table = counterexample_sweep(ts)
         for t, row in zip(ts, table.rows):
             assert abs(row.ratio_BC_ED - E_INV) <= 0.4 * t, t
+
+    def test_tiny_t_log_ratio(self):
+        row = counterexample_sweep([1e-100]).rows[0]
+        assert row.log_ratio_DDp_FDp == pytest.approx(1e100, rel=1e-12)
 
     def test_divergence_diagnostic_frozen(self):
         q = self.g.inverse()
