@@ -70,7 +70,7 @@ from .expressions import (
     parse,
     render,
 )
-from .limits import ArnoldReport, Indistinguishable, arnold_ratio, first_divergence_index
+from .limits import ArnoldReport, arnold_ratio, first_divergence_index
 from .numeric import (
     CSV_HEADER,
     GeometricSample,
@@ -86,7 +86,6 @@ from .numeric import (
     flatness_check,
     geometric_sample,
     log_theta,
-    mvt_ratio_check,
     numeric_inverse,
     sweep,
     theta,

@@ -146,6 +146,9 @@ def _cmd_counterexample(args) -> int:
     t_min, t_max, points = args.t_min, args.t_max, args.points
     if not 0.0 < t_min < t_max < 0.5:
         raise _Usage("need 0 < --t-min < --t-max < 0.5")
+    if t_min < sys.float_info.min:
+        # -1/t must stay finite for every root the inverse can round t to
+        raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")
     table = numeric.counterexample_sweep(_log_spaced(t_min, t_max, _positive(points, "--points")))
     _emit(_table_text(table, args.format), args.out)
     return EXIT_OK

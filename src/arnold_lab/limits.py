@@ -30,13 +30,6 @@ from .series import (
 
 
 @dataclass(frozen=True)
-class Indistinguishable:
-    """Marker: the two series agree on every coefficient up to this order."""
-
-    order: int
-
-
-@dataclass(frozen=True)
 class ArnoldReport:
     """Everything the limit computation established, exactly."""
 
@@ -58,14 +51,12 @@ class ArnoldReport:
         }
 
 
-def first_divergence_index(f: TruncatedSeries, g: TruncatedSeries) -> int | Indistinguishable:
-    """Smallest index where f and g differ, or Indistinguishable."""
+def first_divergence_index(f: TruncatedSeries, g: TruncatedSeries) -> int | FlatToOrder:
+    """Smallest index where f and g differ, or FlatToOrder when they agree
+    on every coefficient through their order."""
     if f.order != g.order:
         raise InvalidInput("first_divergence_index expects series of equal order")
-    v = valuation(sub(f, g))
-    if isinstance(v, FlatToOrder):
-        return Indistinguishable(v.order)
-    return v
+    return valuation(sub(f, g))
 
 
 def _require_tangent(label: str, s: TruncatedSeries) -> None:
@@ -89,7 +80,7 @@ def arnold_ratio(f: TruncatedSeries, g: TruncatedSeries) -> ArnoldReport:
     g = g.truncate(order)
 
     index = first_divergence_index(f, g)
-    if isinstance(index, Indistinguishable):
+    if isinstance(index, FlatToOrder):
         raise IndistinguishableToOrder(
             f"series agree through order {order}; the ratio needs distinct inputs"
         )

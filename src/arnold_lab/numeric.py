@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     BracketInvalid,
@@ -25,7 +25,8 @@ from .series import TruncatedSeries
 
 NAN = float("nan")
 
-CSV_HEADER = "x,AB,BC,ED,DDp,FDp,ratio_AB_BC,ratio_BC_ED,log_ratio_DDp_FDp,flags"
+# numeric_inverse enforces |f(x) - y| <= RESIDUAL_TOL * max(1, |y|)
+RESIDUAL_TOL = 1e-12
 
 
 def theta(x: float) -> float:
@@ -57,10 +58,13 @@ class NumericFunction:
     """A deterministic double -> double function with optional structure.
 
     Subclasses may override inverse() when they know a better realization
-    than numeric_inverse.  log_partner names the g for which the pair
-    (self, g) has exact log-space channels; counterexample_pair sets it.
+    than numeric_inverse.  bracket is the interval on which the function is
+    known to be strictly monotone, if any.  log_partner names the g for which
+    the pair (self, g) has exact log-space channels; counterexample_pair
+    sets it.
     """
 
+    bracket: "tuple[float, float] | None" = None
     log_partner: "NumericFunction | None" = None
 
     def __call__(self, x: float) -> float:
@@ -143,20 +147,15 @@ class PFlatFn(_SampledMonotone):
 
 
 class InverseFn(NumericFunction):
-    """base^(-1), solved by numeric_inverse on the base's bracket."""
+    """base^(-1), solved by numeric_inverse on the base's bracket, or on
+    (0, 1) when the base has none."""
 
-    def __init__(
-        self,
-        base: NumericFunction,
-        bracket: tuple[float, float] | None = None,
-        tol: float = 1e-12,
-    ):
+    def __init__(self, base: NumericFunction):
         self.base = base
-        self.bracket = bracket if bracket is not None else getattr(base, "bracket", (0.0, 1.0))
-        self.tol = tol
+        self.bracket = base.bracket or (0.0, 1.0)
 
     def __call__(self, y: float) -> float:
-        return numeric_inverse(self.base, y, self.bracket, self.tol)
+        return numeric_inverse(self.base, y, self.bracket)
 
     def inverse(self) -> NumericFunction:
         return self.base
@@ -165,12 +164,7 @@ class InverseFn(NumericFunction):
         return f"inverse({self.base.describe()})"
 
 
-def numeric_inverse(
-    f: NumericFunction,
-    y: float,
-    bracket: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
+def numeric_inverse(f: NumericFunction, y: float, bracket: tuple[float, float]) -> float:
     """Solve f(x) = y on the bracket by secant-guided bracketing.
 
     f must be strictly monotone there.  Secant steps through the newest
@@ -180,7 +174,7 @@ def numeric_inverse(
     end onto itself by bisection's rule, and the loop stops where bisection
     stops, at adjacent doubles: for f monotone on doubles the result is
     bisection's double, in about 9 evaluations of p or q instead of 67.
-    The residual |f(x) - y| <= tol * max(1, |y|) is then enforced; a
+    The residual |f(x) - y| <= RESIDUAL_TOL * max(1, |y|) is then enforced; a
     residual failure or a probe value outside the endpoint range is
     reported as NotMonotone.
     """
@@ -219,7 +213,7 @@ def numeric_inverse(
             hi = x
         x0, f0, x1, f1 = (x1, f1, x, fx) if abs(fx - y) <= abs(f1 - y) else (x, fx, x1, f1)
     x = 0.5 * (lo + hi)
-    if abs(f(x) - y) > tol * max(1.0, abs(y)):
+    if abs(f(x) - y) > RESIDUAL_TOL * max(1.0, abs(y)):
         raise NotMonotone(
             f"inverse converged to {x} but |f(x) - y| exceeds tolerance; "
             "is f monotone on the bracket?"
@@ -259,6 +253,14 @@ class GeometricSample:
     flags: tuple[str, ...] = ()
 
 
+# the CSV carries every field but ratio_DDp_FDp (its log column is exact
+# where the ratio overflows), then the flags joined by ";"
+CSV_COLUMNS = tuple(
+    f.name for f in fields(GeometricSample) if f.name not in ("ratio_DDp_FDp", "flags")
+)
+CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
+
+
 def _counterexample_sample(
     x: float, u: float, v: float, flags: list[str]
 ) -> GeometricSample:
@@ -294,7 +296,7 @@ def _counterexample_sample(
         FDp=fdp,
         # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
         ratio_AB_BC=_exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0)),
-        ratio_BC_ED=_exp(-1.0 / (1.0 + v)),
+        ratio_BC_ED=counterexample_ratio(v),
         ratio_DDp_FDp=_exp(log_ddp - log_fdp),
         log_ratio_DDp_FDp=log_ddp - log_fdp,
         flags=tuple(flags),
@@ -364,15 +366,6 @@ def geometric_sample(f: NumericFunction, g: NumericFunction, x: float) -> Geomet
     )
 
 
-def mvt_ratio_check(f: NumericFunction, g: NumericFunction, x: float) -> float:
-    """|AB| / |BC| at x; NaN (flagged indeterminate) when f = g there.
-
-    By the mean value theorem this tends to 1 as x -> 0 for C^1 functions
-    tangent to the diagonal, analytic or not.
-    """
-    return geometric_sample(f, g, x).ratio_AB_BC
-
-
 def counterexample_ratio(t: float, side: str = "right") -> float:
     """theta(t) / theta(t + t^2) for t > 0, entirely in log space.
 
@@ -412,26 +405,23 @@ def flatness_check(n: int, xs: list[float] | tuple[float, ...]) -> list[float]:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Rows of GeometricSample at strictly decreasing abscissas."""
+    """Rows of GeometricSample at strictly decreasing abscissas.
+
+    bracket is f's, when it has one; the JSON metadata then gives beside it
+    RESIDUAL_TOL, the tolerance of the inverses numeric_inverse solves there.
+    """
 
     rows: tuple[GeometricSample, ...]
     f_label: str
     g_label: str
     bracket: tuple[float, float] | None = None
-    tol: float | None = None
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            fields = [
-                _format_double(v)
-                for v in (
-                    r.x, r.AB, r.BC, r.ED, r.DDp, r.FDp,
-                    r.ratio_AB_BC, r.ratio_BC_ED, r.log_ratio_DDp_FDp,
-                )
-            ]
-            fields.append(";".join(r.flags))
-            lines.append(",".join(fields))
+            cells = ["%.17g" % getattr(r, name) for name in CSV_COLUMNS]
+            cells.append(";".join(r.flags))
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -440,29 +430,10 @@ class SweepTable:
                 "f": self.f_label,
                 "g": self.g_label,
                 "bracket": list(self.bracket) if self.bracket else None,
-                "tol": self.tol,
+                "tol": RESIDUAL_TOL if self.bracket else None,
             },
-            "rows": [
-                {
-                    "x": r.x,
-                    "AB": r.AB,
-                    "BC": r.BC,
-                    "ED": r.ED,
-                    "DDp": r.DDp,
-                    "FDp": r.FDp,
-                    "ratio_AB_BC": r.ratio_AB_BC,
-                    "ratio_BC_ED": r.ratio_BC_ED,
-                    "ratio_DDp_FDp": r.ratio_DDp_FDp,
-                    "log_ratio_DDp_FDp": r.log_ratio_DDp_FDp,
-                    "flags": list(r.flags),
-                }
-                for r in self.rows
-            ],
+            "rows": [{**vars(r), "flags": list(r.flags)} for r in self.rows],
         }
-
-
-def _format_double(v: float) -> str:
-    return "%.17g" % v
 
 
 def thread_cap(row_count: int) -> int:
@@ -486,11 +457,8 @@ def thread_cap(row_count: int) -> int:
 
 
 def _flagged_row(x: float, flag: str) -> GeometricSample:
-    return GeometricSample(
-        x=x, AB=NAN, BC=NAN, ED=NAN, DDp=NAN, FDp=NAN,
-        ratio_AB_BC=NAN, ratio_BC_ED=NAN, ratio_DDp_FDp=NAN,
-        log_ratio_DDp_FDp=NAN, flags=(flag,),
-    )
+    values = dict.fromkeys((f.name for f in fields(GeometricSample)), NAN)
+    return GeometricSample(**{**values, "x": x, "flags": (flag,)})
 
 
 def sweep(
@@ -515,29 +483,24 @@ def sweep(
             return _flagged_row(x, "unresolved")
 
     rows = [row(x) for x in xs]
-    bracket = getattr(f, "bracket", None)
-    tol = getattr(f, "tol", None)
     return SweepTable(
         rows=tuple(rows),
         f_label=f.describe(),
         g_label=g.describe(),
-        bracket=bracket,
-        tol=tol,
+        bracket=f.bracket,
     )
 
 
-def counterexample_pair(
-    bracket: tuple[float, float] = (0.0, 0.5),
-    tol: float = 1e-12,
-) -> tuple[NumericFunction, NumericFunction]:
+def counterexample_pair() -> tuple[NumericFunction, NumericFunction]:
     """The C-infinity pair: f = p_inv, g = q_inv with p = q + theta.
 
     p and q are explicit; f and g are solved by numeric_inverse, which is why
-    the pair is built on the inverse side.  f.log_partner is g, so
-    geometric_sample evaluates this pair in log space.
+    the pair is built on the inverse side.  Both are solved on the bracket
+    (0, 0.5) that PFlatFn and QPolyFn hold, to RESIDUAL_TOL.  f.log_partner
+    is g, so geometric_sample evaluates this pair in log space.
     """
-    f = InverseFn(PFlatFn(bracket), bracket, tol)
-    g = InverseFn(QPolyFn(bracket), bracket, tol)
+    f = InverseFn(PFlatFn())
+    g = InverseFn(QPolyFn())
     f.log_partner = g
     return f, g
 

@@ -217,6 +217,28 @@ class TestCounterexample:
         proc = run_cli("counterexample", "--t-min", "0.1", "--t-max", "0.7", "--points", "3")
         assert proc.returncode == 4
 
+    def test_subnormal_t_min_is_usage(self):
+        # the log channels hold -1/t: it overflows below 1/DBL_MAX, and one ulp
+        # above that the inverse still rounds t down to 1/DBL_MAX
+        for t_min in ("5e-324", "5.56268464626801e-309", "2.225073858507201e-308"):
+            proc = run_cli(
+                "counterexample", "--t-min", t_min, "--t-max", "1e-300", "--points", "4"
+            )
+            assert proc.returncode == 4, t_min
+            assert proc.stdout == ""
+            assert "2.2250738585072014e-308" in proc.stderr
+
+    def test_smallest_normal_t_min_is_finite(self):
+        proc = run_cli(
+            "counterexample",
+            "--t-min", "2.2250738585072014e-308", "--t-max", "1e-300", "--points", "4",
+        )
+        assert proc.returncode == 0
+        last = proc.stdout.strip().split("\n")[-1].split(",")
+        # log(DDp/FDp) = 2 log x + 1/t
+        assert float(last[8]) == pytest.approx(1 / 2.2250738585072014e-308, rel=1e-12)
+        assert last[9] == "logspace"
+
 
 class TestSweep:
     def test_explicit_xs(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arnold_lab import (
     ConditionViolated,
+    FlatToOrder,
     IndistinguishableToOrder,
     InvalidInput,
     UnresolvedAtOrder,
@@ -20,7 +21,7 @@ from arnold_lab import (
     sub,
     valuation,
 )
-from arnold_lab.limits import ArnoldReport, Indistinguishable, arnold_ratio, first_divergence_index
+from arnold_lab.limits import ArnoldReport, arnold_ratio, first_divergence_index
 from helpers import random_tangent_pair
 
 
@@ -35,7 +36,7 @@ class TestFirstDivergence:
 
     def test_indistinguishable(self):
         s = sin_series(8)
-        assert first_divergence_index(s, s) == Indistinguishable(8)
+        assert first_divergence_index(s, s) == FlatToOrder(8)
 
     def test_requires_equal_orders(self):
         with pytest.raises(InvalidInput):

@@ -5,6 +5,7 @@ arithmetic (mpmath) on the defining formulas; the doubles produced here
 must land within the stated tolerances of them.
 """
 
+import json
 import math
 
 import pytest
@@ -28,7 +29,6 @@ from arnold_lab import (
     geometric_sample,
     log_theta,
     make_series,
-    mvt_ratio_check,
     numeric_inverse,
     sweep,
     theta,
@@ -240,16 +240,16 @@ class TestGeometricSampleGeneric:
 class TestMvtRatio:
     def test_counterexample_near_origin(self):
         f, g = counterexample_pair()
-        assert abs(mvt_ratio_check(f, g, 1e-3) - 1.0) < 1e-2
+        assert abs(geometric_sample(f, g, 1e-3).ratio_AB_BC - 1.0) < 1e-2
 
     def test_coincident_is_nan(self):
         f = SeriesFn(eval_text("tan o sin", 8))
-        assert math.isnan(mvt_ratio_check(f, f, 0.1))
+        assert math.isnan(geometric_sample(f, f, 0.1).ratio_AB_BC)
 
     def test_analytic_pair(self):
         f = SeriesFn(eval_text("tan o sin", 12))
         g = SeriesFn(eval_text("sin o tan", 12))
-        assert abs(mvt_ratio_check(f, g, 0.1) - 1.0) < 0.02
+        assert abs(geometric_sample(f, g, 0.1).ratio_AB_BC - 1.0) < 0.02
 
 
 class TestCounterexampleRatio:
@@ -352,6 +352,35 @@ class TestSweep:
         assert obj["metadata"]["g"] == "inverse(q)"
         assert len(obj["rows"]) == 1
         assert obj["rows"][0]["ratio_BC_ED"] == pytest.approx(0.402890321529, rel=1e-9)
+        assert obj["metadata"]["bracket"] == [0.0, 0.5]
+        assert obj["metadata"]["tol"] == 1e-12
+        f = SeriesFn(eval_text("tan o sin", 8))
+        g = SeriesFn(eval_text("sin o tan", 8))
+        metadata = sweep(f, g, [0.1]).to_json_dict()["metadata"]
+        assert metadata["bracket"] is None
+        assert metadata["tol"] is None
+
+    def test_csv_mirrors_json_rows(self):
+        f = SeriesFn(eval_text("tan o sin", 12))
+        g = SeriesFn(eval_text("sin o tan", 12))
+        tables = [
+            sweep(*counterexample_pair(), [0.8, 0.11, 0.001]),
+            sweep(f, g, [0.3, 0.1, 0.001]),
+            sweep(SeriesFn(eval_text("x + x^2", 6)), SeriesFn(eval_text("x + 2 * x^2", 6)), [0.1]),
+        ]
+        seen = set()
+        for table in tables:
+            header, *lines = table.to_csv().rstrip("\n").split("\n")
+            rows = json.loads(json.dumps(table.to_json_dict()))["rows"]
+            assert len(lines) == len(rows)
+            for line, row in zip(lines, rows):
+                assert header.split(",") == [key for key in row if key != "ratio_DDp_FDp"]
+                *numbers, flags = line.split(",")
+                assert numbers == ["%.17g" % row[key] for key in header.split(",")[:-1]]
+                assert flags == ";".join(row["flags"])
+                seen.update(row["flags"])
+        assert {"mirrored", "logspace", "unresolved", "indeterminate",
+                "configuration_violated"} <= seen
 
     def test_series_sweep_reverts_each_function_once(self, monkeypatch):
         calls = []
