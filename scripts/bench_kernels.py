@@ -1,0 +1,125 @@
+"""Time the exact kernels over an order ladder.
+
+Usage: python3 scripts/bench_kernels.py --out FILE [--orders 12,24,40,64,96]
+
+With arnold_lab importable (PYTHONPATH=src), each kernel runs at every
+order of the ladder; its time is the process CPU time of the best of 3
+runs.  The kernels are
+
+  eval_text_limit_pairs    eval_text of both sides of the four limit pairs
+                           the benchmark's exact_limit workload runs
+  compositional_inverse    reversion of tan o sin, the production route
+  lagrange_inverse_oracle  reversion of tan o sin, the Lagrange oracle
+  series_compose           Horner compose(tan, sin), the oracle for eval
+  arnold_ratio             the limit of tan o sin against sin o tan
+
+FILE gets the times, the largest coefficient of the inverse in bits, and
+per kernel the slope of the least-squares line through
+(log order, log time): the scaling exponent.  A table goes to stdout.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import time
+
+from arnold_lab import (
+    arnold_ratio,
+    compose,
+    compositional_inverse,
+    eval_text,
+    lagrange_inverse_oracle,
+    sin_series,
+    tan_series,
+)
+
+LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"),
+               ("tan o arcsin", "arcsin o tan"), ("arctan o sin", "sin o arctan"))
+REPEATS = 3
+
+
+def best_cpu_seconds(run) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.process_time()
+        run()
+        times.append(time.process_time() - start)
+    return min(times)
+
+
+def kernels(order: int) -> dict:
+    """Each kernel as a call with its inputs built outside the timing."""
+    f = eval_text("tan o sin", order)
+    g = eval_text("sin o tan", order)
+    tan, sin = tan_series(order), sin_series(order)
+    texts = [text for pair in LIMIT_PAIRS for text in pair]
+    return {
+        "eval_text_limit_pairs": lambda: [eval_text(text, order) for text in texts],
+        "compositional_inverse": lambda: compositional_inverse(f),
+        "lagrange_inverse_oracle": lambda: lagrange_inverse_oracle(f),
+        "series_compose": lambda: compose(tan, sin),
+        "arnold_ratio": lambda: arnold_ratio(f, g),
+    }
+
+
+def scaling_exponent(orders: list[int], seconds: list[float]) -> float:
+    xs = [math.log(n) for n in orders]
+    ys = [math.log(t) for t in seconds]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum((x - x_mean) ** 2 for x in xs)
+    return sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / spread
+
+
+def coefficient_bits(order: int) -> int:
+    inverse = compositional_inverse(eval_text("tan o sin", order)).inverse
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in inverse.coefficients)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--orders", default="12,24,40,64,96",
+                        help="comma-separated, at least two distinct orders >= 8")
+    args = parser.parse_args()
+    try:
+        orders = sorted({int(part) for part in args.orders.split(",")})
+    except ValueError:
+        parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
+    # tan o sin and sin o tan first differ at x^7, and the limit needs one more order
+    if len(orders) < 2 or orders[0] < 8:
+        parser.error("--orders needs at least two distinct orders >= 8")
+
+    times: dict[str, list[float]] = {}
+    for order in orders:
+        for name, run in kernels(order).items():
+            times.setdefault(name, []).append(float(f"{best_cpu_seconds(run):.4g}"))
+    result = {
+        "clock": f"process CPU time in seconds, best of {REPEATS}",
+        "host": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "orders": orders,
+        "inverse_max_coeff_bits": [coefficient_bits(order) for order in orders],
+        "kernels": {
+            name: {"seconds": seconds, "exponent": round(scaling_exponent(orders, seconds), 3)}
+            for name, seconds in times.items()
+        },
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(result, handle, indent=2)
+        handle.write("\n")
+
+    print(f"{'kernel':<26}" + "".join(f"{n:>10}" for n in orders) + "  exponent")
+    for name, entry in result["kernels"].items():
+        cells = "".join(f"{1e3 * t:>8.2f}ms" for t in entry["seconds"])
+        print(f"{name:<26}{cells}  {entry['exponent']:.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -275,10 +275,14 @@ def _counterexample_sample(
         DDp = |x - q(x)| = x^2                (g_inv is q itself)
         FDp = BC                              (F convention)
         BC/ED = exp(-1/(1 + v))   AB/BC = exp(-log1p(u + v) - AB/(u v))
+
+    Where -1/u, -1/v or -1/x is not finite (x = 0, or a subnormal root)
+    no channel survives in doubles, and the row comes back "unresolved".
     """
-    log_ab = log_theta(u) - math.log1p(u + v)
-    log_bc = log_theta(v)
-    log_ed = log_theta(x)
+    log_u, log_bc, log_ed = log_theta(u), log_theta(v), log_theta(x)
+    if not all(map(math.isfinite, (log_u, log_bc, log_ed))):
+        return _flagged_row(x, "unresolved")
+    log_ab = log_u - math.log1p(u + v)
     log_ddp = 2.0 * math.log(x)
     log_fdp = log_bc
     raw = [_exp(c) for c in (log_ab, log_bc, log_ed, log_fdp)]

@@ -5,7 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from arnold_lab import FlatToOrder, TruncatedSeries, make_series, sub, valuation
+from arnold_lab import (
+    FlatToOrder,
+    TruncatedSeries,
+    add,
+    compose,
+    make_series,
+    monomial_series,
+    scale,
+    sub,
+    valuation,
+)
+from arnold_lab.elementary import primitive_series
 from arnold_lab.expressions import (
     Compose,
     Difference,
@@ -34,6 +45,26 @@ def bisection_inverse(f, y: float, bracket: tuple[float, float]) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def horner_eval_expr(ast: FunctionExpr, order: int) -> TruncatedSeries:
+    """The oracle for eval_expr: every node expanded at x, outer before
+    inner and left before right, and each `a o b` joined by Horner compose."""
+    if isinstance(ast, Primitive):
+        return primitive_series(ast.name, order)
+    if isinstance(ast, Monomial):
+        return monomial_series(ast.coefficient, ast.exponent, order)
+    if isinstance(ast, Sum):
+        return add(horner_eval_expr(ast.left, order), horner_eval_expr(ast.right, order))
+    if isinstance(ast, Difference):
+        return sub(horner_eval_expr(ast.left, order), horner_eval_expr(ast.right, order))
+    if isinstance(ast, Scale):
+        return scale(horner_eval_expr(ast.child, order), ast.coefficient)
+    if isinstance(ast, Compose):
+        outer = horner_eval_expr(ast.outer, order)
+        inner = horner_eval_expr(ast.inner, order)
+        return compose(outer, inner)
+    raise TypeError(f"not a FunctionExpr node: {ast!r}")
 
 
 # small coefficients keep bignum growth inside the reversion benign

@@ -110,6 +110,9 @@ def run(argv):
 @example(argv=["eval", "--expr", " + ".join(["x"] * 1000), "--order", "3"])
 @example(argv=["eval", "--expr", "2 * " * 1000 + "x", "--order", "3"])
 @example(argv=["eval", "--expr", "1" * 5000 + " * x", "--order", "3"])
+@example(argv=["eval", "--expr", "foo o cos", "--order", "5"])
+@example(argv=["eval", "--expr", "(sin o cos) o foo", "--order", "5"])
+@example(argv=["eval", "--expr", "foo o sin o cos", "--order", "5"])
 @example(argv=["sweep", "--f", "1" * 400 + " * x", "--g", "x", "--xs", "0.1"])
 @example(argv=["counterexample", "--t-min", "5e-324", "--t-max", "1e-300", "--points", "4"])
 @example(argv=["invert", "--series-json", '{"order": 1e400, "coefficients": []}'])

@@ -1,8 +1,11 @@
 """Generators: frozen coefficients, identities, inverse pairs, evaluation."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnold_lab import (
     CompositionDomain,
@@ -25,7 +28,10 @@ from arnold_lab import (
     valuation,
     zero_series,
 )
+from arnold_lab import elementary, series
 from arnold_lab.expressions import parse
+
+from helpers import horner_eval_expr, random_ast
 
 
 def recurrence_sin_cos(order):
@@ -134,3 +140,70 @@ class TestHeadlineSeries:
         diff = sub(eval_text("tan o sin", 12), eval_text("sin o tan", 12))
         assert valuation(diff) == 7
         assert diff.coefficients[7] == F(1, 30)
+
+
+# the expressions of the exact_limit benchmark workload
+LIMIT_TEXTS = ("tan o sin", "sin o tan", "arcsin o arctan", "arctan o arcsin",
+               "tan o arcsin", "arcsin o tan", "arctan o sin", "sin o arctan")
+
+
+def outcome(evaluate, ast, order):
+    """The series, or the type and message of what evaluating raised."""
+    try:
+        return evaluate(ast, order)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEvalOracle:
+    """eval_expr evaluates each node at a series; horner_eval_expr composes
+    every node's own series by Horner.  The two must agree exactly."""
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(0, 30))
+    def test_matches_horner_composition(self, seed, order):
+        ast = random_ast(random.Random(seed))
+        result = outcome(eval_expr, ast, order)
+        assert result == outcome(horner_eval_expr, ast, order)
+        if not isinstance(result, tuple):
+            assert all(type(c) is F for c in result.coefficients)
+
+    @pytest.mark.parametrize(
+        "text", ["foo o cos", "(sin o cos) o foo", "foo o sin o cos", "sin o cos"]
+    )
+    def test_error_precedence(self, text):
+        ast = parse(text)
+        expected = outcome(horner_eval_expr, ast, 5)
+        assert isinstance(expected, tuple)
+        assert outcome(eval_expr, ast, 5) == expected
+
+    def test_exact_limit_expressions_at_order_64(self):
+        for text in LIMIT_TEXTS:
+            assert eval_text(text, 64) == horner_eval_expr(parse(text), 64), text
+
+    def test_coefficients_are_fractions(self):
+        # an empty sum is the int 0, and 0 / k would be the float 0.0
+        cases = [(text, 24) for text in LIMIT_TEXTS]
+        cases += [("3/7 * (x^3 + tan) o arcsin o x^2", 17), ("arctan o x^2", 1),
+                  ("arcsin o (x - x^3)", 0), ("cos o tan o sin - 2*x", 20)]
+        for text, order in cases:
+            f = eval_text(text, order)
+            assert all(type(c) is F for c in f.coefficients), text
+            if f.order >= 1 and f.coefficients[0] == 0 and f.coefficients[1] != 0:
+                w = compositional_inverse(f)
+                assert all(type(c) is F for c in w.inverse.coefficients + w.residuals), text
+
+    def test_tan_sin_takes_no_compose(self, monkeypatch):
+        calls = []
+        original = series.compose
+
+        def counting(outer, inner):
+            calls.append(None)
+            return original(outer, inner)
+
+        for module in (series, elementary):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        eval_text("tan o sin", 24)
+        assert calls == []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arnold_lab import (
@@ -85,6 +85,10 @@ class TestProperties:
 
     @settings(max_examples=100)
     @given(invertible_st())
+    @example(make_series([0, F(-3, 7), F(2, 5), F(1, 1000003), F(-7, 3), F(5, 11)]))
+    @example(make_series([0, F(1000003, 2), F(-1, 1000003), F(3, 4)]))
+    @example(make_series([0, F(5, 3)]))
+    @example(make_series([0, -1]))
     def test_oracle_equality(self, f):
         assert lagrange_inverse_oracle(f) == compositional_inverse(f).inverse
 
@@ -176,6 +180,7 @@ class TestElementaryPairs:
         assert calls == []
 
     def test_oracle_equality_at_order_40(self):
-        for text in ("tan o sin", "arcsin o arctan", "tan o arcsin", "arctan o sin"):
-            f = eval_text(text, 40)
-            assert compositional_inverse(f).inverse == lagrange_inverse_oracle(f), text
+        for order in (40, 64):
+            for text in ("tan o sin", "arcsin o arctan", "tan o arcsin", "arctan o sin"):
+                f = eval_text(text, order)
+                assert compositional_inverse(f).inverse == lagrange_inverse_oracle(f), text

@@ -329,6 +329,18 @@ class TestSweep:
         assert math.isnan(table.rows[0].ratio_BC_ED)
         assert table.rows[1].ratio_BC_ED == pytest.approx(0.402890321529, rel=1e-9)
 
+    def test_zero_and_subnormal_x_are_unresolved(self):
+        # -1/x, -1/u or -1/v overflows there: no log channel survives
+        f, g = counterexample_pair()
+        table = sweep(f, g, [0.1, 0.0])
+        assert table.rows[0].flags == ("mirrored",)
+        assert table.rows[1].flags == ("unresolved",)
+        for xs in ([5e-324], [1e-310]):
+            row = sweep(f, g, xs).rows[0]
+            assert row.flags == ("unresolved",)
+            assert math.isnan(row.ratio_BC_ED) and math.isnan(row.log_ratio_DDp_FDp)
+        assert sweep(f, g, [3e-308]).rows[0].flags == ("logspace",)
+
     def test_all_rows_flagged(self):
         f = SeriesFn(eval_text("x + x^2", 6))
         g = SeriesFn(eval_text("x + 2 * x^2", 6))

@@ -1,5 +1,6 @@
-"""Smoke test of the desk-scale reproduction script."""
+"""Smoke tests of the desk-scale reproduction and kernel-timing scripts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,18 +9,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_experiments():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_run_experiments():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_experiments.py")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         cwd=ROOT,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "limit of (f - g)/(g^-1 - f^-1) at 0: 1\n" in proc.stdout
+
+
+def test_bench_kernels_small_ladder(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_kernels.py"),
+         "--orders", "8,12", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        cwd=ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["orders"] == [8, 12]
+    assert set(result["kernels"]) == {
+        "eval_text_limit_pairs", "compositional_inverse", "lagrange_inverse_oracle",
+        "series_compose", "arnold_ratio",
+    }
+    for entry in result["kernels"].values():
+        assert len(entry["seconds"]) == 2 and all(t > 0 for t in entry["seconds"])
+        assert isinstance(entry["exponent"], float)
+    assert "compositional_inverse" in proc.stdout
