@@ -35,7 +35,6 @@ from .series import (
     make_series,
     monomial_series,
     mul,
-    neg,
     one_series,
     pow_binomial,
     rational_from_json,
@@ -48,16 +47,7 @@ from .series import (
     zero_series,
 )
 from .inversion import InverseWitness, compositional_inverse, lagrange_inverse_oracle
-from .elementary import (
-    PRIMITIVES,
-    arcsin_series,
-    arctan_series,
-    cos_series,
-    eval_expr,
-    eval_text,
-    sin_series,
-    tan_series,
-)
+from .elementary import eval_expr, eval_text
 from .expressions import (
     Compose,
     Difference,

@@ -27,6 +27,9 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 4
 EXIT_EMPTY = 5
 
+# the largest --order accepted; far beyond it a series does not fit in memory
+MAX_ORDER = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; remap to this tool's usage code
@@ -78,7 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _Usage(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -107,7 +114,7 @@ def _log_spaced(lo: float, hi: float, points: int) -> list[float]:
 
 
 def _cmd_eval(args) -> int:
-    series = eval_expr(parse(args.expr), _positive(args.order, "--order"))
+    series = eval_expr(parse(args.expr), _order(args.order))
     if args.format == "json":
         _emit(json.dumps(series_to_json(series)) + "\n", None)
     else:
@@ -119,7 +126,7 @@ def _cmd_invert(args) -> int:
     if args.expr is not None:
         if args.order is None:
             raise _Usage("--order is required with --expr")
-        series = eval_expr(parse(args.expr), _positive(args.order, "--order"))
+        series = eval_expr(parse(args.expr), _order(args.order))
     else:
         series = series_from_json(_load_json(args.series_json))
         if args.order is not None:
@@ -127,14 +134,14 @@ def _cmd_invert(args) -> int:
                 raise _Usage(
                     f"--order {args.order} exceeds the series order {series.order}"
                 )
-            series = series.truncate(_positive(args.order, "--order"))
+            series = series.truncate(_order(args.order))
     witness = compositional_inverse(series)
     _emit(json.dumps(witness.to_json_dict(with_residuals=args.with_residuals)) + "\n", None)
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    order = _positive(args.order, "--order")
+    order = _order(args.order)
     f = eval_expr(parse(args.f), order)
     g = eval_expr(parse(args.g), order)
     report = arnold_ratio(f, g)
@@ -155,7 +162,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    order = _positive(args.order, "--order")
+    order = _order(args.order)
     f = SeriesFn(eval_expr(parse(args.f), order))
     g = SeriesFn(eval_expr(parse(args.g), order))
     if args.xs is not None:
@@ -188,6 +195,12 @@ def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise _Usage(f"{flag} must be >= 1")
     return value
+
+
+def _order(value: int) -> int:
+    if value > MAX_ORDER:
+        raise _Usage(f"--order must be <= {MAX_ORDER}")
+    return _positive(value, "--order")
 
 
 def _load_json(text: str):

@@ -1,12 +1,11 @@
-"""Exact Taylor generators for the named primitives, and AST evaluation.
+"""The named primitives at a series, and AST evaluation.
 
-At x, sin, cos, arctan and arcsin come from their closed-form coefficients
-and tan is the exact quotient of sin by cos.  At a series h with h(0) = 0
-each primitive follows from its differential equation (Brent and Kung,
-J. ACM 25(4), 1978): sin h and cos h together from S' = C h' and
-C' = -S h', tan h = S / C, arctan h = integral of h' / (1 + h^2) and
-arcsin h = integral of h' (1 - h^2)^(-1/2), each O(n^2) rational
-operations.  All of them are series of rationals, so identities like
+Each primitive is evaluated at a series h with h(0) = 0 through its
+differential equation (Brent and Kung, J. ACM 25(4), 1978): sin h and
+cos h together from S' = C h' and C' = -S h', tan h = S / C,
+arctan h = integral of h' / (1 + h^2) and arcsin h = integral of
+h' (1 - h^2)^(-1/2), each O(n^2) rational operations.  At the root h is
+the series x.  All of them are series of rationals, so identities like
 sin^2 + cos^2 = 1 hold with zero tolerance and make good engine
 self-checks.
 """
@@ -14,7 +13,6 @@ self-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
 from typing import Callable
 
 from . import expressions as ex
@@ -27,8 +25,6 @@ from .series import (
     divide,
     identity_series,
     integrate,
-    make_series,
-    monomial_series,
     mul,
     one_series,
     pow_binomial,
@@ -38,59 +34,7 @@ from .series import (
     zero_series,
 )
 
-
-def sin_series(order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range((order + 1) // 2):
-        coeffs[2 * k + 1] = Fraction((-1) ** k, factorial(2 * k + 1))
-    return make_series(coeffs)
-
-
-def cos_series(order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(0, order // 2 + 1):
-        coeffs[2 * k] = Fraction((-1) ** k, factorial(2 * k))
-    return make_series(coeffs)
-
-
-def tan_series(order: int) -> TruncatedSeries:
-    return divide(sin_series(order), cos_series(order))
-
-
-def arctan_series(order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range((order + 1) // 2):
-        coeffs[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
-    return make_series(coeffs)
-
-
-def arcsin_series(order: int) -> TruncatedSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range((order + 1) // 2):
-        coeffs[2 * k + 1] = Fraction(comb(2 * k, k), 4**k * (2 * k + 1))
-    return make_series(coeffs)
-
-
-PRIMITIVES: dict[str, Callable[[int], TruncatedSeries]] = {
-    "sin": sin_series,
-    "cos": cos_series,
-    "tan": tan_series,
-    "arcsin": arcsin_series,
-    "arctan": arctan_series,
-    "id": identity_series,
-}
-
-
-def primitive_series(name: str, order: int) -> TruncatedSeries:
-    try:
-        generator = PRIMITIVES[name]
-    except KeyError:
-        known = ", ".join(sorted(PRIMITIVES))
-        raise UnknownFunction(f"unknown primitive {name!r} (known: {known})") from None
-    return generator(order)
-
-
-# the primitives at a series h with h(0) = 0, to the order of h
+Rule = Callable[[TruncatedSeries], TruncatedSeries]
 
 
 def _sin_cos_at(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -113,7 +57,7 @@ def _arcsin_at(h: TruncatedSeries) -> TruncatedSeries:
     return integrate(mul(derive(h), root)).truncate(h.order)
 
 
-_AT_SERIES: dict[str, Callable[[TruncatedSeries], TruncatedSeries]] = {
+_AT_SERIES: dict[str, Rule] = {
     "sin": lambda h: _sin_cos_at(h)[0],
     "cos": lambda h: _sin_cos_at(h)[1],
     "tan": lambda h: divide(*_sin_cos_at(h)),
@@ -137,46 +81,36 @@ def _power(h: TruncatedSeries, exponent: int) -> TruncatedSeries:
     return result
 
 
-def _constant_term(ast: ex.FunctionExpr) -> Rational:
-    """The constant term of ast's series, which no inner series changes.
+def _rule(ast: ex.FunctionExpr) -> tuple[Rule, Rational]:
+    """ast as the map h -> ast(h) on series with h(0) = 0, and the
+    constant term of every such ast(h), which h does not change.
 
-    Raises what evaluating ast raises, in evaluation order: an unknown
-    name or a composition whose inner constant term is nonzero, outer
-    before inner and left before right.
+    One walk over the tree; it raises what evaluating ast raises, in
+    evaluation order: an unknown name or a composition whose inner
+    constant term is nonzero, outer before inner and left before right.
     """
     if isinstance(ast, ex.Primitive):
-        return primitive_series(ast.name, 0).coefficients[0]
+        if ast.name not in _AT_SERIES:
+            known = ", ".join(sorted(_AT_SERIES))
+            raise UnknownFunction(f"unknown primitive {ast.name!r} (known: {known})")
+        rule = _AT_SERIES[ast.name]
+        return rule, rule(zero_series(0)).coefficients[0]
     if isinstance(ast, ex.Monomial):
-        return monomial_series(ast.coefficient, ast.exponent, 0).coefficients[0]
-    if isinstance(ast, ex.Sum):
-        return _constant_term(ast.left) + _constant_term(ast.right)
-    if isinstance(ast, ex.Difference):
-        return _constant_term(ast.left) - _constant_term(ast.right)
+        c, k = ast.coefficient, ast.exponent
+        return (lambda h: scale(_power(h, k), c)), c if k == 0 else Fraction(0)
+    if isinstance(ast, (ex.Sum, ex.Difference)):
+        (left, a), (right, b) = _rule(ast.left), _rule(ast.right)
+        if isinstance(ast, ex.Sum):
+            return (lambda h: add(left(h), right(h))), a + b
+        return (lambda h: sub(left(h), right(h))), a - b
     if isinstance(ast, ex.Scale):
-        return ast.coefficient * _constant_term(ast.child)
+        (child, a), factor = _rule(ast.child), ast.coefficient
+        return (lambda h: scale(child(h), factor)), factor * a
     if isinstance(ast, ex.Compose):
-        outer = _constant_term(ast.outer)
-        require_zero_constant(_constant_term(ast.inner))
-        return outer
+        (outer, a), (inner, b) = _rule(ast.outer), _rule(ast.inner)
+        require_zero_constant(b)
+        return (lambda h: outer(inner(h))), a
     raise TypeError(f"not a FunctionExpr node: {ast!r}")
-
-
-def _evaluate(ast: ex.FunctionExpr, h: TruncatedSeries | None, order: int) -> TruncatedSeries:
-    """ast evaluated at h, or at x when h is None; _constant_term has
-    already checked every name and every composition."""
-    if isinstance(ast, ex.Primitive):
-        return primitive_series(ast.name, order) if h is None else _AT_SERIES[ast.name](h)
-    if isinstance(ast, ex.Monomial):
-        if h is None:
-            return monomial_series(ast.coefficient, ast.exponent, order)
-        return scale(_power(h, ast.exponent), ast.coefficient)
-    if isinstance(ast, ex.Sum):
-        return add(_evaluate(ast.left, h, order), _evaluate(ast.right, h, order))
-    if isinstance(ast, ex.Difference):
-        return sub(_evaluate(ast.left, h, order), _evaluate(ast.right, h, order))
-    if isinstance(ast, ex.Scale):
-        return scale(_evaluate(ast.child, h, order), ast.coefficient)
-    return _evaluate(ast.outer, _evaluate(ast.inner, h, order), order)
 
 
 def eval_expr(ast: ex.FunctionExpr, order: int) -> TruncatedSeries:
@@ -189,8 +123,8 @@ def eval_expr(ast: ex.FunctionExpr, order: int) -> TruncatedSeries:
     composition of the nodes' own series gives, and the same errors are
     raised in the same order.
     """
-    _constant_term(ast)
-    return _evaluate(ast, None, order)
+    rule, _ = _rule(ast)
+    return rule(identity_series(order))
 
 
 def eval_text(text: str, order: int) -> TruncatedSeries:

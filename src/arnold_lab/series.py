@@ -49,8 +49,7 @@ class TruncatedSeries:
 
     Use make_series() (or the module-level operations) rather than mutating
     anything: instances are immutable and safe to share across threads.
-    Equality compares order and all coefficients; use agrees_with() to
-    compare two series of different orders on their common range.
+    Equality compares order and all coefficients.
     """
 
     coefficients: tuple[Rational, ...]
@@ -63,12 +62,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def coefficient(self, k: int) -> Rational:
-        """The coefficient of x^k; k must not exceed the truncation order."""
-        if not 0 <= k <= self.order:
-            raise InvalidInput(f"coefficient index {k} outside 0..{self.order}")
-        return self.coefficients[k]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above the given order (which must be known)."""
         if order > self.order:
@@ -76,29 +69,6 @@ class TruncatedSeries:
         if order == self.order:
             return self
         return TruncatedSeries(self.coefficients[: order + 1])
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Coefficient-wise equality up to the smaller of the two orders."""
-        n = min(self.order, other.order)
-        return self.coefficients[: n + 1] == other.coefficients[: n + 1]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return sub(self, other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return neg(self)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return divide(self, other)
-
-    def __call__(self, outer_arg: "TruncatedSeries") -> "TruncatedSeries":
-        return compose(self, outer_arg)
 
     def __str__(self) -> str:
         terms = []
@@ -150,10 +120,6 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
     return TruncatedSeries(tuple(a.coefficients[k] - b.coefficients[k] for k in range(n + 1)))
-
-
-def neg(a: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(tuple(-c for c in a.coefficients))
 
 
 def scale(a: TruncatedSeries, factor: RationalLike) -> TruncatedSeries:

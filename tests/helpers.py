@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from arnold_lab import (
     FlatToOrder,
     TruncatedSeries,
+    UnknownFunction,
     add,
     compose,
+    divide,
+    identity_series,
     make_series,
     monomial_series,
     scale,
     sub,
     valuation,
 )
-from arnold_lab.elementary import primitive_series
 from arnold_lab.expressions import (
     Compose,
     Difference,
@@ -47,11 +50,63 @@ def bisection_inverse(f, y: float, bracket: tuple[float, float]) -> float:
             hi = mid
 
 
+def sin_series(order: int) -> TruncatedSeries:
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        coeffs[2 * k + 1] = Fraction((-1) ** k, factorial(2 * k + 1))
+    return make_series(coeffs)
+
+
+def cos_series(order: int) -> TruncatedSeries:
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range(0, order // 2 + 1):
+        coeffs[2 * k] = Fraction((-1) ** k, factorial(2 * k))
+    return make_series(coeffs)
+
+
+def tan_series(order: int) -> TruncatedSeries:
+    return divide(sin_series(order), cos_series(order))
+
+
+def arctan_series(order: int) -> TruncatedSeries:
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        coeffs[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
+    return make_series(coeffs)
+
+
+def arcsin_series(order: int) -> TruncatedSeries:
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        coeffs[2 * k + 1] = Fraction(comb(2 * k, k), 4**k * (2 * k + 1))
+    return make_series(coeffs)
+
+
+# the primitives at x from their closed-form Taylor coefficients
+CLOSED_FORMS = {
+    "sin": sin_series,
+    "cos": cos_series,
+    "tan": tan_series,
+    "arcsin": arcsin_series,
+    "arctan": arctan_series,
+    "id": identity_series,
+}
+
+
+def closed_form(name: str, order: int) -> TruncatedSeries:
+    """The named primitive at x, or the UnknownFunction eval_expr raises."""
+    if name not in CLOSED_FORMS:
+        known = ", ".join(sorted(CLOSED_FORMS))
+        raise UnknownFunction(f"unknown primitive {name!r} (known: {known})")
+    return CLOSED_FORMS[name](order)
+
+
 def horner_eval_expr(ast: FunctionExpr, order: int) -> TruncatedSeries:
-    """The oracle for eval_expr: every node expanded at x, outer before
-    inner and left before right, and each `a o b` joined by Horner compose."""
+    """The oracle for eval_expr: every node expanded at x (the primitives
+    by their closed forms), outer before inner and left before right, and
+    each `a o b` joined by Horner compose."""
     if isinstance(ast, Primitive):
-        return primitive_series(ast.name, order)
+        return closed_form(ast.name, order)
     if isinstance(ast, Monomial):
         return monomial_series(ast.coefficient, ast.exponent, order)
     if isinstance(ast, Sum):

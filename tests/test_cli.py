@@ -55,6 +55,13 @@ class TestEval:
         proc = run_cli("eval", "--expr", "x", "--order", "0")
         assert proc.returncode == 4
 
+    def test_order_above_bound_is_usage_error(self):
+        # unbounded, the two huge orders end in MemoryError or OverflowError
+        for order in ("10001", "4611686018427387904", "9223372036854775807"):
+            proc = run_cli("eval", "--expr", "x", "--order", order)
+            assert proc.returncode == 4, order
+            assert "--order must be <= 10000" in proc.stderr
+
     def test_missing_required_flag(self):
         proc = run_cli("eval", "--expr", "x")
         assert proc.returncode == 4
@@ -209,6 +216,17 @@ class TestCounterexample:
         assert body.startswith("x,AB,BC,ED")
         assert len(body.strip().split("\n")) == 3
 
+    def test_out_to_missing_directory_is_usage(self, tmp_path):
+        target = str(tmp_path / "missing" / "rows.csv")
+        proc = run_cli(
+            "counterexample",
+            "--t-min", "1e-3", "--t-max", "1e-2", "--points", "3",
+            "--out", target,
+        )
+        assert proc.returncode == 4
+        assert target in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_zero_t_min_is_usage(self):
         proc = run_cli("counterexample", "--t-min", "0", "--t-max", "0.1", "--points", "3")
         assert proc.returncode == 4
@@ -299,6 +317,12 @@ class TestSweep:
         assert proc.returncode == 0
         rows = proc.stdout.strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == ["mirrored", "mirrored"]
+
+    def test_out_to_directory_is_usage(self, tmp_path):
+        proc = run_cli("sweep", "--f", "x", "--g", "sin", "--xs", "0.1", "--out", str(tmp_path))
+        assert proc.returncode == 4
+        assert str(tmp_path) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_grid_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--x-min", "0.1")

@@ -23,7 +23,10 @@ expressions = st.one_of(
     st.builds(lambda op, n: op.join(["sin"] * n), st.sampled_from([" o ", " + "]),
               st.integers(1, 3000)),
 )
-orders = st.one_of(st.integers(-1, 12).map(str), st.sampled_from(["abc", "1.5", ""]))
+orders = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["abc", "1.5", "", "4611686018427387904", "9223372036854775807"]),
+)
 reals = st.one_of(
     st.floats(min_value=1e-30, max_value=1.0).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "0", "-0.1", "0.49", "1e-320", "abc"]),
@@ -114,6 +117,8 @@ def run(argv):
 @example(argv=["eval", "--expr", "(sin o cos) o foo", "--order", "5"])
 @example(argv=["eval", "--expr", "foo o sin o cos", "--order", "5"])
 @example(argv=["sweep", "--f", "1" * 400 + " * x", "--g", "x", "--xs", "0.1"])
+@example(argv=["eval", "--expr", "x", "--order", "4611686018427387904"])
+@example(argv=["limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "9223372036854775807"])
 @example(argv=["counterexample", "--t-min", "5e-324", "--t-max", "1e-300", "--points", "4"])
 @example(argv=["invert", "--series-json", '{"order": 1e400, "coefficients": []}'])
 @example(argv=["invert", "--series-json", '{"order": 1, "coefficients": '

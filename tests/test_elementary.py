@@ -11,20 +11,15 @@ from arnold_lab import (
     CompositionDomain,
     UnknownFunction,
     add,
-    arcsin_series,
-    arctan_series,
     compose,
     compositional_inverse,
-    cos_series,
     eval_expr,
     eval_text,
     identity_series,
     make_series,
     mul,
     one_series,
-    sin_series,
     sub,
-    tan_series,
     valuation,
     zero_series,
 )
@@ -50,49 +45,53 @@ def recurrence_sin_cos(order):
 class TestGenerators:
     def test_sin_cos_match_recurrence(self):
         sin_r, cos_r = recurrence_sin_cos(15)
-        assert sin_series(15) == sin_r
-        assert cos_series(15) == cos_r
+        assert eval_text("sin", 15) == sin_r
+        assert eval_text("cos", 15) == cos_r
 
     def test_sin_frozen(self):
-        assert sin_series(5) == make_series([0, 1, 0, F(-1, 6), 0, F(1, 120)])
+        assert eval_text("sin", 5) == make_series([0, 1, 0, F(-1, 6), 0, F(1, 120)])
 
     def test_cos_order_zero(self):
-        assert cos_series(0) == make_series([1])
+        assert eval_text("cos", 0) == make_series([1])
 
     def test_pythagorean(self):
-        s, c = sin_series(12), cos_series(12)
+        s, c = eval_text("sin", 12), eval_text("cos", 12)
         assert add(mul(s, s), mul(c, c)) == one_series(12)
 
     def test_tan_frozen(self):
-        assert tan_series(5) == make_series([0, 1, 0, F(1, 3), 0, F(2, 15)])
-        assert tan_series(1) == make_series([0, 1])
+        assert eval_text("tan", 5) == make_series([0, 1, 0, F(1, 3), 0, F(2, 15)])
+        assert eval_text("tan", 1) == make_series([0, 1])
 
     def test_tan_times_cos_is_sin(self):
         order = 11
-        assert mul(tan_series(order), cos_series(order)) == sin_series(order)
+        assert mul(eval_text("tan", order), eval_text("cos", order)) == eval_text("sin", order)
 
     def test_arctan_frozen(self):
-        assert arctan_series(5) == make_series([0, 1, 0, F(-1, 3), 0, F(1, 5)])
-        assert arctan_series(1) == make_series([0, 1])
+        assert eval_text("arctan", 5) == make_series([0, 1, 0, F(-1, 3), 0, F(1, 5)])
+        assert eval_text("arctan", 1) == make_series([0, 1])
 
     def test_arcsin_frozen(self):
-        assert arcsin_series(5) == make_series([0, 1, 0, F(1, 6), 0, F(3, 40)])
+        assert eval_text("arcsin", 5) == make_series([0, 1, 0, F(1, 6), 0, F(3, 40)])
 
     def test_inverse_pairs_compose_to_identity(self):
         order = 9
-        assert compose(arctan_series(order), tan_series(order)) == identity_series(order)
-        assert compose(sin_series(order), arcsin_series(order)) == identity_series(order)
+        tan, arctan = eval_text("tan", order), eval_text("arctan", order)
+        sin, arcsin = eval_text("sin", order), eval_text("arcsin", order)
+        assert compose(arctan, tan) == identity_series(order)
+        assert compose(sin, arcsin) == identity_series(order)
 
     def test_reversion_reproduces_named_inverses(self):
         for order in (11, 40):
-            assert compositional_inverse(tan_series(order)).inverse == arctan_series(order)
-            assert compositional_inverse(sin_series(order)).inverse == arcsin_series(order)
-            assert compositional_inverse(arcsin_series(order)).inverse == sin_series(order)
+            tan, arctan = eval_text("tan", order), eval_text("arctan", order)
+            sin, arcsin = eval_text("sin", order), eval_text("arcsin", order)
+            assert compositional_inverse(tan).inverse == arctan
+            assert compositional_inverse(sin).inverse == arcsin
+            assert compositional_inverse(arcsin).inverse == sin
 
 
 class TestEvalExpr:
     def test_composition(self):
-        assert eval_text("tan o sin", 7) == compose(tan_series(7), sin_series(7))
+        assert eval_text("tan o sin", 7) == compose(eval_text("tan", 7), eval_text("sin", 7))
 
     def test_polynomial_padded(self):
         assert eval_text("x + x^2", 5) == make_series([0, 1, 1, 0, 0, 0])
@@ -125,7 +124,7 @@ class TestEvalExpr:
 def scale_check():
     from arnold_lab import scale
 
-    return scale(sub(tan_series(5), sin_series(5)), F(1, 2))
+    return scale(sub(eval_text("tan", 5), eval_text("sin", 5)), F(1, 2))
 
 
 class TestHeadlineSeries:
@@ -145,6 +144,7 @@ class TestHeadlineSeries:
 # the expressions of the exact_limit benchmark workload
 LIMIT_TEXTS = ("tan o sin", "sin o tan", "arcsin o arctan", "arctan o arcsin",
                "tan o arcsin", "arcsin o tan", "arctan o sin", "sin o arctan")
+PRIMITIVE_NAMES = ("sin", "cos", "tan", "arcsin", "arctan", "id")
 
 
 def outcome(evaluate, ast, order):
@@ -178,7 +178,8 @@ class TestEvalOracle:
         assert outcome(eval_expr, ast, 5) == expected
 
     def test_exact_limit_expressions_at_order_64(self):
-        for text in LIMIT_TEXTS:
+        # the bare names pin each root leaf to its closed form
+        for text in LIMIT_TEXTS + PRIMITIVE_NAMES:
             assert eval_text(text, 64) == horner_eval_expr(parse(text), 64), text
 
     def test_coefficients_are_fractions(self):

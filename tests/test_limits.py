@@ -14,10 +14,8 @@ from arnold_lab import (
     InvalidInput,
     UnresolvedAtOrder,
     compositional_inverse,
-    cos_series,
     eval_text,
     make_series,
-    sin_series,
     sub,
     valuation,
 )
@@ -35,7 +33,7 @@ class TestFirstDivergence:
         assert first_divergence_index(f, g) == 7
 
     def test_indistinguishable(self):
-        s = sin_series(8)
+        s = eval_text("sin", 8)
         assert first_divergence_index(s, s) == FlatToOrder(8)
 
     def test_requires_equal_orders(self):
@@ -61,11 +59,11 @@ class TestArnoldRatio:
 
     def test_coincident_rejected(self):
         with pytest.raises(IndistinguishableToOrder):
-            arnold_ratio(sin_series(8), sin_series(8))
+            arnold_ratio(eval_text("sin", 8), eval_text("sin", 8))
 
     def test_condition_violated(self):
         with pytest.raises(ConditionViolated):
-            arnold_ratio(cos_series(6), sin_series(6))
+            arnold_ratio(eval_text("cos", 6), eval_text("sin", 6))
         with pytest.raises(ConditionViolated):
             arnold_ratio(make_series([0, 2, 1]), make_series([0, 2, 0, 1]))
 
