@@ -65,9 +65,6 @@ from .numeric import (
     CSV_HEADER,
     GeometricSample,
     InverseFn,
-    NumericFunction,
-    PFlatFn,
-    QPolyFn,
     SeriesFn,
     SweepTable,
     counterexample_pair,

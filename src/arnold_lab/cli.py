@@ -151,8 +151,9 @@ def _cmd_limit(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     t_min, t_max, points = args.t_min, args.t_max, args.points
-    if not 0.0 < t_min < t_max < 0.5:
-        raise _Usage("need 0 < --t-min < --t-max < 0.5")
+    t_bound = numeric.FLAT_BRACKET[1]  # t is the root q solves on its bracket
+    if not 0.0 < t_min < t_max < t_bound:
+        raise _Usage(f"need 0 < --t-min < --t-max < {t_bound}")
     if t_min < sys.float_info.min:
         # -1/t must stay finite for every root the inverse can round t to
         raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -53,35 +54,48 @@ def _exp(z: float) -> float:
 
 # numeric functions
 
+# p and q increase strictly here; both inverses of the flat pair are solved on it
+FLAT_BRACKET = (0.0, 0.5)
 
-class NumericFunction:
-    """A deterministic double -> double function with optional structure.
 
-    Subclasses may override inverse() when they know a better realization
-    than numeric_inverse.  bracket is the interval on which the function is
-    known to be strictly monotone, if any.  log_partner names the g for which
-    the pair (self, g) has exact log-space channels; counterexample_pair
-    sets it.
+def q(x: float) -> float:
+    """q(x) = x + x^2."""
+    return x + x * x
+
+
+def p(x: float) -> float:
+    """p(x) = q(x) + theta(x): same 2-jet as q, different germ."""
+    return x + x * x + theta(x)
+
+
+def check_increasing(fn: Callable[[float], float]) -> None:
+    """Raise NotMonotone unless fn strictly increases along 10 001 evenly
+    spaced points of FLAT_BRACKET, its ends included."""
+    lo, hi = FLAT_BRACKET
+    samples = 10_000
+    previous = fn(lo)
+    step = (hi - lo) / samples
+    for i in range(1, samples + 1):
+        value = fn(lo + i * step)
+        if value <= previous:
+            raise NotMonotone(f"{fn.__name__} is not strictly increasing near {lo + i * step}")
+        previous = value
+
+
+class SeriesFn:
+    """Evaluate a truncated series in double precision (Horner).
+
+    Its inverse is the exact reversion, built once and evaluated the same
+    way.  bracket and log_partner are None: the sweep metadata then names
+    no bracket, and geometric_sample takes the generic route.
     """
 
-    bracket: "tuple[float, float] | None" = None
-    log_partner: "NumericFunction | None" = None
-
-    def __call__(self, x: float) -> float:
-        raise NotImplementedError
-
-    def inverse(self) -> "NumericFunction":
-        return InverseFn(self)
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class SeriesFn(NumericFunction):
-    """Evaluate a truncated series in double precision (Horner)."""
+    bracket = None
+    log_partner = None
 
     def __init__(self, series: TruncatedSeries):
         self.series = series
+        self.label = f"series(order={series.order})"
         try:
             self._floats = tuple(float(c) for c in series.coefficients)
         except OverflowError:
@@ -95,76 +109,33 @@ class SeriesFn(NumericFunction):
         return acc
 
     def inverse(self) -> "SeriesFn":
-        # exact series reversion, done once, evaluated as floats like everything else
         if self._inverse is None:
             self._inverse = SeriesFn(compositional_inverse(self.series).inverse)
         return self._inverse
 
-    def describe(self) -> str:
-        return f"series(order={self.series.order})"
 
+class InverseFn:
+    """base^(-1) for an increasing base such as p or q, solved by
+    numeric_inverse on FLAT_BRACKET.  log_partner names the g for which
+    the pair (self, g) has exact log-space channels; counterexample_pair
+    sets it.
+    """
 
-class _SampledMonotone(NumericFunction):
-    """Base for the counterexample building blocks: construction-time
-    monotonicity check by dense sampling on the working bracket."""
+    bracket = FLAT_BRACKET
+    log_partner: "InverseFn | None" = None
 
-    SAMPLES = 10_000
-
-    def __init__(self, bracket: tuple[float, float] = (0.0, 0.5)):
-        lo, hi = bracket
-        if not lo < hi:
-            raise BracketInvalid(f"bracket {bracket} is empty")
-        self.bracket = (float(lo), float(hi))
-        previous = self(float(lo))
-        step = (hi - lo) / self.SAMPLES
-        for i in range(1, self.SAMPLES + 1):
-            value = self(lo + i * step)
-            if value <= previous:
-                raise NotMonotone(
-                    f"{self.describe()} is not strictly increasing near {lo + i * step}"
-                )
-            previous = value
-
-
-class QPolyFn(_SampledMonotone):
-    """q(x) = x + x^2."""
-
-    def __call__(self, x: float) -> float:
-        return x + x * x
-
-    def describe(self) -> str:
-        return "q"
-
-
-class PFlatFn(_SampledMonotone):
-    """p(x) = q(x) + theta(x): same 2-jet as q, different germ."""
-
-    def __call__(self, x: float) -> float:
-        return x + x * x + theta(x)
-
-    def describe(self) -> str:
-        return "p"
-
-
-class InverseFn(NumericFunction):
-    """base^(-1), solved by numeric_inverse on the base's bracket, or on
-    (0, 1) when the base has none."""
-
-    def __init__(self, base: NumericFunction):
+    def __init__(self, base: Callable[[float], float]):
         self.base = base
-        self.bracket = base.bracket or (0.0, 1.0)
+        self.label = f"inverse({base.__name__})"
 
     def __call__(self, y: float) -> float:
-        return numeric_inverse(self.base, y, self.bracket)
+        return numeric_inverse(self.base, y, FLAT_BRACKET)
 
-    def inverse(self) -> NumericFunction:
+    def inverse(self) -> Callable[[float], float]:
         return self.base
 
-    def describe(self) -> str:
-        return f"inverse({self.base.describe()})"
 
-
-def numeric_inverse(f: NumericFunction, y: float, bracket: tuple[float, float]) -> float:
+def numeric_inverse(f: Callable[[float], float], y: float, bracket: tuple[float, float]) -> float:
     """Solve f(x) = y on the bracket by secant-guided bracketing.
 
     f must be strictly monotone there.  Secant steps through the newest
@@ -307,7 +278,9 @@ def _counterexample_sample(
     )
 
 
-def geometric_sample(f: NumericFunction, g: NumericFunction, x: float) -> GeometricSample:
+def geometric_sample(
+    f: "SeriesFn | InverseFn", g: "SeriesFn | InverseFn", x: float
+) -> GeometricSample:
     """All lengths and ratios of the picture at abscissa x.
 
     Valid configurations, with f(x) and g(x) finite: f(x) = g(x) (ratios
@@ -340,8 +313,9 @@ def geometric_sample(f: NumericFunction, g: NumericFunction, x: float) -> Geomet
     g_inv = g.inverse()
     ab = abs(fx - gx)
     bc = abs(x - f_inv(gx))
-    ed = abs(f_inv(x) - g_inv(x))
-    ddp = abs(x - g_inv(x))
+    g_inv_x = g_inv(x)
+    ed = abs(f_inv(x) - g_inv_x)
+    ddp = abs(x - g_inv_x)
     fdp = bc
     if fx == gx:
         flags.append("indeterminate")
@@ -466,8 +440,8 @@ def _flagged_row(x: float, flag: str) -> GeometricSample:
 
 
 def sweep(
-    f: NumericFunction,
-    g: NumericFunction,
+    f: "SeriesFn | InverseFn",
+    g: "SeriesFn | InverseFn",
     xs: list[float] | tuple[float, ...],
 ) -> SweepTable:
     """One GeometricSample per abscissa, in input order, evaluated one
@@ -489,22 +463,23 @@ def sweep(
     rows = [row(x) for x in xs]
     return SweepTable(
         rows=tuple(rows),
-        f_label=f.describe(),
-        g_label=g.describe(),
+        f_label=f.label,
+        g_label=g.label,
         bracket=f.bracket,
     )
 
 
-def counterexample_pair() -> tuple[NumericFunction, NumericFunction]:
+def counterexample_pair() -> tuple[InverseFn, InverseFn]:
     """The C-infinity pair: f = p_inv, g = q_inv with p = q + theta.
 
     p and q are explicit; f and g are solved by numeric_inverse, which is why
-    the pair is built on the inverse side.  Both are solved on the bracket
-    (0, 0.5) that PFlatFn and QPolyFn hold, to RESIDUAL_TOL.  f.log_partner
-    is g, so geometric_sample evaluates this pair in log space.
+    the pair is built on the inverse side.  Each call first checks that p
+    and q increase on FLAT_BRACKET, where both are solved to RESIDUAL_TOL.
+    f.log_partner is g, so geometric_sample evaluates this pair in log space.
     """
-    f = InverseFn(PFlatFn())
-    g = InverseFn(QPolyFn())
+    check_increasing(p)
+    check_increasing(q)
+    f, g = InverseFn(p), InverseFn(q)
     f.log_partner = g
     return f, g
 
@@ -512,6 +487,4 @@ def counterexample_pair() -> tuple[NumericFunction, NumericFunction]:
 def counterexample_sweep(t_values: list[float] | tuple[float, ...]) -> SweepTable:
     """Sweep the counterexample pair at abscissas x = q(t), t decreasing."""
     f, g = counterexample_pair()
-    q = g.inverse()
-    xs = [q(float(t)) for t in t_values]
-    return sweep(f, g, xs)
+    return sweep(f, g, [q(float(t)) for t in t_values])

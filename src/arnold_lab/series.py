@@ -70,20 +70,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coefficients[: order + 1])
 
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{body} + O(x^{self.order + 1})"
-
 
 def make_series(coefficients: Sequence[RationalLike] | Iterable[RationalLike]) -> TruncatedSeries:
     """Build a series from coefficients of x^0, x^1, ...; order = len - 1."""

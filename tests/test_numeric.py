@@ -17,8 +17,6 @@ from arnold_lab import (
     InvalidInput,
     InverseFn,
     NotMonotone,
-    PFlatFn,
-    QPolyFn,
     SeriesFn,
     compositional_inverse,
     counterexample_pair,
@@ -33,7 +31,7 @@ from arnold_lab import (
     sweep,
     theta,
 )
-from arnold_lab.numeric import CSV_HEADER, NumericFunction, thread_cap
+from arnold_lab.numeric import CSV_HEADER, check_increasing, p, q, thread_cap
 
 from helpers import bisection_inverse
 
@@ -58,7 +56,6 @@ class TestTheta:
 
 class TestNumericInverse:
     def test_quadratic(self):
-        q = QPolyFn((0.0, 2.0))
         assert numeric_inverse(q, 2.0, (0.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity(self):
@@ -66,7 +63,6 @@ class TestNumericInverse:
         assert numeric_inverse(ident, 0.5, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_bracket_invalid(self):
-        q = QPolyFn((0.0, 1.0))
         with pytest.raises(BracketInvalid):
             numeric_inverse(q, 10.0, (0.0, 1.0))
         with pytest.raises(BracketInvalid):
@@ -78,7 +74,6 @@ class TestNumericInverse:
             numeric_inverse(bump, -0.5, (0.0, 1.5))
 
     def test_round_trip(self):
-        p = PFlatFn((0.0, 0.5))
         for y in (0.01, 0.1, 0.3, 0.7):
             x = numeric_inverse(p, y, (0.0, 0.5))
             assert abs(p(x) - y) <= 1e-12 * max(1.0, abs(y))
@@ -89,7 +84,7 @@ class TestNumericInverse:
 
     def test_same_double_as_bisection(self):
         ys = [1e-40 * 0.7e40 ** (i / 199) for i in range(200)]  # 1e-40 up to 0.7
-        cases = [(PFlatFn((0.0, 0.5)), (0.0, 0.5), ys), (QPolyFn((0.0, 0.5)), (0.0, 0.5), ys)]
+        cases = [(p, (0.0, 0.5), ys), (q, (0.0, 0.5), ys)]
         down = SeriesFn(make_series([1, -1]))  # 1 - x, decreasing
         cases.append((down, (0.0, 1.0), [i / 97 for i in range(98)] + [1e-30, 1 - 1e-12]))
         for fn, bracket, targets in cases:
@@ -97,41 +92,34 @@ class TestNumericInverse:
                 assert numeric_inverse(fn, y, bracket) == bisection_inverse(fn, y, bracket), y
 
     def test_tiny_target_is_exact(self):
-        q = QPolyFn((0.0, 0.5))
         assert numeric_inverse(q, 1e-100, (0.0, 0.5)) == pytest.approx(1e-100, rel=1e-15, abs=0)
 
     def test_few_evaluations_per_flat_inverse(self):
-        p = PFlatFn((0.0, 0.5))
-        q = QPolyFn((0.0, 0.5))
+        calls = []
 
-        class Counting(NumericFunction):
-            calls = 0
+        def counting(x):
+            calls.append(x)
+            return p(x)
 
-            def __call__(self, x):
-                self.calls += 1
-                return p(x)
-
-        counting = Counting()
         ts = [10 ** (-1 - 5.5 * i / 99) for i in range(100)]  # 0.1 down to 3e-7
         for t in ts:
             numeric_inverse(counting, q(t), (0.0, 0.5))
         # bisection to adjacent doubles takes about 67
-        assert counting.calls / len(ts) <= 16
+        assert len(calls) / len(ts) <= 16
 
 
 class TestMonotoneConstruction:
     def test_counterexample_blocks_validate(self):
-        PFlatFn((0.0, 0.5))
-        QPolyFn((0.0, 0.5))
+        check_increasing(p)
+        check_increasing(q)
 
     def test_decreasing_bracket_rejected(self):
-        # q' = 1 + 2x < 0 left of -1/2
-        with pytest.raises(NotMonotone):
-            QPolyFn((-2.0, -1.0))
+        # q' = 1 + 2x < 0 left of -1/2, so q(x - 2) decreases on the bracket
+        def shifted(x):
+            return q(x - 2.0)
 
-    def test_empty_bracket_rejected(self):
-        with pytest.raises(BracketInvalid):
-            QPolyFn((0.5, 0.5))
+        with pytest.raises(NotMonotone, match="shifted is not strictly increasing"):
+            check_increasing(shifted)
 
 
 class TestCounterexampleChannels:
@@ -183,6 +171,16 @@ class TestCounterexampleChannels:
     def test_tiny_t_log_ratio(self):
         row = counterexample_sweep([1e-100]).rows[0]
         assert row.log_ratio_DDp_FDp == pytest.approx(1e100, rel=1e-12)
+
+    def test_hand_built_pair_takes_generic_route(self):
+        # without log_partner the lengths are differences of doubles
+        f, g = InverseFn(p), InverseFn(q)
+        generic = geometric_sample(f, g, 0.11)
+        logspace = geometric_sample(self.f, self.g, 0.11)
+        assert generic.ratio_AB_BC == pytest.approx(logspace.ratio_AB_BC, rel=1e-9)
+        assert generic.ratio_BC_ED == pytest.approx(logspace.ratio_BC_ED, rel=1e-9)
+        assert generic.flags == logspace.flags == ("mirrored",)
+        assert f.inverse() is p and g.inverse() is q
 
     def test_divergence_diagnostic_frozen(self):
         q = self.g.inverse()
