@@ -16,6 +16,10 @@ runs.  The kernels are
 FILE gets the times, the largest coefficient of the inverse in bits, and
 per kernel the slope of the least-squares line through
 (log order, log time): the scaling exponent.  A table goes to stdout.
+
+FILE also gets "startup": the median CPU time (user + system, from
+os.wait4) of 11 fresh `python -c pass` and `python -c "import arnold_lab"`
+processes, run alternately after one unrecorded run of each.
 """
 
 import argparse
@@ -23,8 +27,11 @@ import json
 import math
 import os
 import platform
+import statistics
+import sys
 import time
 
+import arnold_lab
 from arnold_lab import (
     arnold_ratio,
     compose,
@@ -36,6 +43,7 @@ from arnold_lab import (
 LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"),
                ("tan o arcsin", "arcsin o tan"), ("arctan o sin", "sin o arctan"))
 REPEATS = 3
+STARTUP_RUNS = 11
 
 
 def best_cpu_seconds(run) -> float:
@@ -76,6 +84,32 @@ def coefficient_bits(order: int) -> int:
                for c in inverse.coefficients)
 
 
+def child_cpu_seconds(code: str, env: dict) -> float:
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code], env)
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"python -c {code!r} failed")
+    return usage.ru_utime + usage.ru_stime
+
+
+def startup() -> dict:
+    """Median CPU seconds of a bare interpreter and of one importing arnold_lab."""
+    src = os.path.dirname(os.path.dirname(arnold_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab"}
+    times: dict[str, list[float]] = {name: [] for name in codes}
+    for run in range(STARTUP_RUNS + 1):
+        for name, code in codes.items():
+            seconds = child_cpu_seconds(code, env)
+            if run:  # the first run of each writes the bytecode cache
+                times[name].append(seconds)
+    return {
+        "clock": f"CPU time of a fresh process, median of {STARTUP_RUNS}",
+        **{name: round(statistics.median(seconds), 4) for name, seconds in times.items()},
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
@@ -108,6 +142,7 @@ def main() -> None:
             name: {"seconds": seconds, "exponent": round(scaling_exponent(orders, seconds), 3)}
             for name, seconds in times.items()
         },
+        "startup": startup(),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2)
@@ -117,6 +152,9 @@ def main() -> None:
     for name, entry in result["kernels"].items():
         cells = "".join(f"{1e3 * t:>8.2f}ms" for t in entry["seconds"])
         print(f"{name:<26}{cells}  {entry['exponent']:.2f}")
+    start = result["startup"]
+    print(f"startup: python -c pass {1e3 * start['python_pass_s']:.1f}ms, "
+          f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ self-checks.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import expressions as ex
 from .errors import UnknownFunction

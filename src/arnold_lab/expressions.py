@@ -15,50 +15,38 @@ encoding of the input plus the token kinds that would have been accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .errors import ArnoldLabError
-from .series import Rational
+from .errors import ArnoldLabError, Record
 
-
-@dataclass(frozen=True)
-class Primitive:
-    name: str
+# AST nodes: Rational coefficients, positive int exponents, FunctionExpr children
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coefficient: Rational
-    exponent: int
+class Primitive(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Monomial(Record):
+    __slots__ = ("coefficient", "exponent")
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: "FunctionExpr"
-    right: "FunctionExpr"
+class Sum(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Scale:
-    coefficient: Rational
-    child: "FunctionExpr"
+class Difference(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Compose:
-    outer: "FunctionExpr"
-    inner: "FunctionExpr"
+class Scale(Record):
+    __slots__ = ("coefficient", "child")
 
 
-FunctionExpr = Union[Primitive, Monomial, Sum, Difference, Scale, Compose]
+class Compose(Record):
+    __slots__ = ("outer", "inner")
+
+
+FunctionExpr = Primitive | Monomial | Sum | Difference | Scale | Compose
 
 
 class ParseError(ArnoldLabError):
@@ -85,11 +73,9 @@ _SYMBOLS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "^", "(": "(", ")": ")"
 _COMPOSE_ALIASES = {"o", "∘"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "x", "int", "o", one of _SYMBOLS, "end"
-    text: str
-    offset: int  # 1-based byte offset
+class _Token(Record):
+    # kind is "name", "x", "int", "o", one of _SYMBOLS or "end"; offset is 1-based in bytes
+    __slots__ = ("kind", "text", "offset")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -9,11 +9,10 @@ powers.  They must agree exactly, and the test suite holds them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .errors import NotInvertible
+from .errors import NotInvertible, Record
 from .series import (
     Rational,
     TruncatedSeries,
@@ -24,8 +23,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class InverseWitness:
+class InverseWitness(Record):
     """A compositional inverse together with its perturbation residuals.
 
     residuals[i] is R_n for n = i + 2, where R_n = b_n + a_n / a1^(n+1):
@@ -34,8 +32,7 @@ class InverseWitness:
     depends only on a_2 .. a_(n-1).
     """
 
-    inverse: TruncatedSeries
-    residuals: tuple[Rational, ...]
+    __slots__ = ("inverse", "residuals")
 
     def to_json_dict(self, with_residuals: bool = True) -> dict:
         out = {"inverse": series_to_json(self.inverse)}

@@ -9,18 +9,16 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ConditionViolated,
     IndistinguishableToOrder,
     InvalidInput,
+    Record,
     UnresolvedAtOrder,
 )
 from .inversion import compositional_inverse
 from .series import (
     FlatToOrder,
-    Rational,
     TruncatedSeries,
     rational_to_json,
     series_to_json,
@@ -29,16 +27,11 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class ArnoldReport:
+class ArnoldReport(Record):
     """Everything the limit computation established, exactly."""
 
-    N: int
-    numerator_leading: Rational
-    denominator_leading: Rational
-    limit: Rational
-    f_inverse: TruncatedSeries
-    g_inverse: TruncatedSeries
+    __slots__ = ("N", "numerator_leading", "denominator_leading", "limit",
+                 "f_inverse", "g_inverse")
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, fields
 
 from .errors import (
     BracketInvalid,
     ConfigurationViolated,
     InvalidInput,
     NotMonotone,
+    Record,
 )
 from .inversion import compositional_inverse
 from .series import TruncatedSeries
@@ -195,8 +195,7 @@ def numeric_inverse(f: Callable[[float], float], y: float, bracket: tuple[float,
 # geometric sampling
 
 
-@dataclass(frozen=True)
-class GeometricSample:
+class GeometricSample(Record):
     """Lengths and ratios of the tangency picture at one abscissa.
 
     With A = (x, f(x)), B = (x, g(x)), C = (f_inv(g(x)), g(x)), D = (x, x),
@@ -211,24 +210,15 @@ class GeometricSample:
     double-precision underflow (flag "logspace").
     """
 
-    x: float
-    AB: float
-    BC: float
-    ED: float
-    DDp: float
-    FDp: float
-    ratio_AB_BC: float
-    ratio_BC_ED: float
-    ratio_DDp_FDp: float
-    log_ratio_DDp_FDp: float
-    flags: tuple[str, ...] = ()
+    __slots__ = ("x", "AB", "BC", "ED", "DDp", "FDp", "ratio_AB_BC", "ratio_BC_ED",
+                 "ratio_DDp_FDp", "log_ratio_DDp_FDp", "flags")
+    _defaults = {"flags": ()}
 
 
 # the CSV carries every field but ratio_DDp_FDp (its log column is exact
 # where the ratio overflows), then the flags joined by ";"
-CSV_COLUMNS = tuple(
-    f.name for f in fields(GeometricSample) if f.name not in ("ratio_DDp_FDp", "flags")
-)
+CSV_COLUMNS = tuple(name for name in GeometricSample.__slots__
+                    if name not in ("ratio_DDp_FDp", "flags"))
 CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
 
 
@@ -262,20 +252,10 @@ def _counterexample_sample(
     if any(value == 0.0 and math.isfinite(channel) for value, channel in
            zip(raw, (log_ab, log_bc, log_ed, log_fdp))):
         flags.append("logspace")
-    return GeometricSample(
-        x=x,
-        AB=ab,
-        BC=bc,
-        ED=ed,
-        DDp=ddp,
-        FDp=fdp,
-        # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
-        ratio_AB_BC=_exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0)),
-        ratio_BC_ED=counterexample_ratio(v),
-        ratio_DDp_FDp=_exp(log_ddp - log_fdp),
-        log_ratio_DDp_FDp=log_ddp - log_fdp,
-        flags=tuple(flags),
-    )
+    # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
+    ratio_ab_bc = _exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0))
+    return GeometricSample(x, ab, bc, ed, ddp, fdp, ratio_ab_bc, counterexample_ratio(v),
+                           _exp(log_ddp - log_fdp), log_ddp - log_fdp, tuple(flags))
 
 
 def geometric_sample(
@@ -319,29 +299,14 @@ def geometric_sample(
     fdp = bc
     if fx == gx:
         flags.append("indeterminate")
-        ratio_ab_bc = NAN
-        ratio_bc_ed = NAN
+        ratio_ab_bc = ratio_bc_ed = NAN
     else:
         ratio_ab_bc = ab / bc if bc != 0.0 else NAN
         ratio_bc_ed = bc / ed if ed != 0.0 else NAN
     ratio_ddp_fdp = ddp / fdp if fdp != 0.0 else NAN
-    if ddp > 0.0 and fdp > 0.0:
-        log_ratio = math.log(ddp) - math.log(fdp)
-    else:
-        log_ratio = NAN
-    return GeometricSample(
-        x=x,
-        AB=ab,
-        BC=bc,
-        ED=ed,
-        DDp=ddp,
-        FDp=fdp,
-        ratio_AB_BC=ratio_ab_bc,
-        ratio_BC_ED=ratio_bc_ed,
-        ratio_DDp_FDp=ratio_ddp_fdp,
-        log_ratio_DDp_FDp=log_ratio,
-        flags=tuple(flags),
-    )
+    log_ratio = math.log(ddp) - math.log(fdp) if ddp > 0.0 and fdp > 0.0 else NAN
+    return GeometricSample(x, ab, bc, ed, ddp, fdp, ratio_ab_bc, ratio_bc_ed,
+                           ratio_ddp_fdp, log_ratio, tuple(flags))
 
 
 def counterexample_ratio(t: float, side: str = "right") -> float:
@@ -381,18 +346,15 @@ def flatness_check(n: int, xs: list[float] | tuple[float, ...]) -> list[float]:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(Record):
     """Rows of GeometricSample at strictly decreasing abscissas.
 
     bracket is f's, when it has one; the JSON metadata then gives beside it
     RESIDUAL_TOL, the tolerance of the inverses numeric_inverse solves there.
     """
 
-    rows: tuple[GeometricSample, ...]
-    f_label: str
-    g_label: str
-    bracket: tuple[float, float] | None = None
+    __slots__ = ("rows", "f_label", "g_label", "bracket")
+    _defaults = {"bracket": None}
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -410,7 +372,10 @@ class SweepTable:
                 "bracket": list(self.bracket) if self.bracket else None,
                 "tol": RESIDUAL_TOL if self.bracket else None,
             },
-            "rows": [{**vars(r), "flags": list(r.flags)} for r in self.rows],
+            "rows": [{"x": r.x, "AB": r.AB, "BC": r.BC, "ED": r.ED, "DDp": r.DDp, "FDp": r.FDp,
+                      "ratio_AB_BC": r.ratio_AB_BC, "ratio_BC_ED": r.ratio_BC_ED,
+                      "ratio_DDp_FDp": r.ratio_DDp_FDp, "log_ratio_DDp_FDp": r.log_ratio_DDp_FDp,
+                      "flags": list(r.flags)} for r in self.rows],
         }
 
 
@@ -435,8 +400,7 @@ def thread_cap(row_count: int) -> int:
 
 
 def _flagged_row(x: float, flag: str) -> GeometricSample:
-    values = dict.fromkeys((f.name for f in fields(GeometricSample)), NAN)
-    return GeometricSample(**{**values, "x": x, "flags": (flag,)})
+    return GeometricSample(x, *(NAN,) * 9, (flag,))
 
 
 def sweep(

@@ -9,17 +9,16 @@ all results are bit-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-from .errors import BinomialDomain, CompositionDomain, DivisionDomain, InvalidInput
+from .errors import BinomialDomain, CompositionDomain, DivisionDomain, InvalidInput, Record
 
 # The coefficient scalar.  Python's Fraction already is an arbitrary
 # precision rational kept in lowest terms with a positive denominator.
 Rational = Fraction
 
-RationalLike = Union[Rational, int, str]
+RationalLike = Rational | int | str
 
 
 def as_rational(value: RationalLike) -> Rational:
@@ -31,8 +30,7 @@ def as_rational(value: RationalLike) -> Rational:
     raise InvalidInput(f"cannot interpret {value!r} as a rational coefficient")
 
 
-@dataclass(frozen=True)
-class FlatToOrder:
+class FlatToOrder(Record):
     """Marker returned by valuation() when every known coefficient is zero.
 
     A series that is zero through its truncation order may still be nonzero
@@ -40,23 +38,23 @@ class FlatToOrder:
     flatness is certified instead.
     """
 
-    order: int
+    __slots__ = ("order",)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients of x^0 .. x^order, exact.
+class TruncatedSeries(Record):
+    """Coefficients of x^0 .. x^order, exact: a tuple of Rationals.
 
     Use make_series() (or the module-level operations) rather than mutating
     anything: instances are immutable and safe to share across threads.
     Equality compares order and all coefficients.
     """
 
-    coefficients: tuple[Rational, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[Rational, ...]) -> None:
+        if not coefficients:
             raise InvalidInput("a series needs at least the constant coefficient")
+        super().__init__(coefficients)
 
     @property
     def order(self) -> int:

@@ -3,7 +3,8 @@
 Each `arnold-lab ...` line of the first code block in that section runs
 through console_main in-process; the SHA-256 of its stdout and stderr and
 its exit code must match PINS.  An example with no pin fails, so a new
-README example needs its digests added here.
+README example needs its digests added here.  JSON_PINS holds the JSON
+sweep tables, which no README example prints, the same way.
 """
 
 import contextlib
@@ -56,6 +57,17 @@ PINS = {
     ),
 }
 
+JSON_PINS = {
+    'arnold-lab sweep --f "tan o sin" --g "sin o tan" --x-min 0.05 --x-max 0.4 --points 4 --format json': (
+        0, "8e08c43b57acf1899457df1b69ea4c89b55370abfd5a242f6b8b33260f0e8d95",
+        EMPTY,
+    ),
+    'arnold-lab counterexample --t-min 1e-6 --t-max 1e-1 --points 25 --format json': (
+        0, "311a8592da8917c7cc3562cff26a7a75ad33fcea3e32c399e75bea2b53be9b98",
+        EMPTY,
+    ),
+}
+
 
 def readme_commands() -> list[str]:
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
@@ -85,3 +97,9 @@ def test_readme_example_is_pinned(command, monkeypatch):
     monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
     assert command in PINS, f"no pin for README example {command!r}: {run(command)}"
     assert run(command) == PINS[command]
+
+
+@pytest.mark.parametrize("command", sorted(JSON_PINS))
+def test_json_table_is_pinned(command, monkeypatch):
+    monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
+    assert run(command) == JSON_PINS[command]

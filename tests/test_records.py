@@ -1,0 +1,109 @@
+"""The immutable records (series, expression nodes, reports, sweep rows)
+and the modules a start of the command line imports."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from arnold_lab import InvalidInput, TruncatedSeries, make_series
+from arnold_lab.expressions import Difference, Monomial, Primitive, Sum, parse
+from arnold_lab.numeric import GeometricSample, SweepTable
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SLOW_IMPORTS = ("dataclasses", "inspect", "typing")
+
+
+def sample(**changes) -> GeometricSample:
+    values = dict(x=0.1, AB=1.0, BC=2.0, ED=3.0, DDp=4.0, FDp=2.0, ratio_AB_BC=0.5,
+                  ratio_BC_ED=2 / 3, ratio_DDp_FDp=2.0, log_ratio_DDp_FDp=0.69)
+    return GeometricSample(**{**values, **changes})
+
+
+def test_command_line_imports_no_slow_modules():
+    # -S keeps site, and whatever its .pth files import, out of the picture
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, arnold_lab.cli; print(*sorted(sys.modules), sep='\\n')"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "arnold_lab.cli" in loaded
+    assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+
+
+def test_equality_needs_the_same_type():
+    a, b = Primitive("sin"), Monomial(Fraction(1), 2)
+    assert Sum(a, b) == Sum(a, b)
+    assert Sum(a, b) != Difference(a, b)
+    assert Primitive("x") != ("x",)
+    assert make_series([0, 1]) != (Fraction(0), Fraction(1))
+
+
+def test_equal_parses_hash_equal():
+    first, second = parse("tan o sin - 2 * x^3"), parse("tan o sin - 2 * x^3")
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, parse("sin o tan")}) == 2
+
+
+def test_fields_are_read_only():
+    series, row = make_series([0, 1]), sample()
+    with pytest.raises(AttributeError):
+        series.coefficients = (Fraction(1),)
+    with pytest.raises(AttributeError):
+        row.AB = 0.0
+    with pytest.raises(AttributeError):
+        del row.flags
+    assert series == make_series([0, 1]) and row == sample()
+
+
+def test_construction_by_position_keyword_and_default():
+    assert Monomial(Fraction(2), 3) == Monomial(exponent=3, coefficient=Fraction(2))
+    assert Monomial(Fraction(2), exponent=3) == Monomial(Fraction(2), 3)
+    assert sample().flags == ()
+    assert SweepTable((), "f", "g").bracket is None
+    assert SweepTable((), "f", "g", (0.0, 0.5)).bracket == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Monomial(Fraction(1)),                              # missing
+    lambda: Monomial(coefficient=Fraction(1)),                  # missing keyword
+    lambda: Monomial(coefficient=Fraction(1), exp=2),           # unknown keyword
+    lambda: Primitive(nam="x"),                                 # unknown, count right
+    lambda: Monomial(Fraction(1), 2, 3),                        # too many
+    lambda: Monomial(Fraction(1), coefficient=Fraction(2)),     # repeated
+    lambda: SweepTable((), "f"),                                # missing before a default
+])
+def test_wrong_fields_are_a_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_empty_series_is_invalid():
+    with pytest.raises(InvalidInput):
+        TruncatedSeries(())
+
+
+def test_repr_names_every_field():
+    assert repr(Primitive("sin")) == "Primitive(name='sin')"
+    assert repr(Sum(Primitive("sin"), Monomial(Fraction(1), 2))) == (
+        "Sum(left=Primitive(name='sin'), right=Monomial(coefficient=Fraction(1, 1), exponent=2))"
+    )
+
+
+def test_copy_and_pickle_round_trip():
+    tree = parse("2 * sin o tan + x^3")
+    row = sample(flags=("mirrored",))
+    for record in (tree, row, make_series([0, 1, "1/3"])):
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record

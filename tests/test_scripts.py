@@ -52,3 +52,7 @@ def test_bench_kernels_small_ladder(tmp_path):
         assert len(entry["seconds"]) == 2 and all(t > 0 for t in entry["seconds"])
         assert isinstance(entry["exponent"], float)
     assert "compositional_inverse" in proc.stdout
+    startup = result["startup"]
+    assert set(startup) == {"clock", "python_pass_s", "import_arnold_lab_s"}
+    assert 0 < startup["python_pass_s"] and 0 < startup["import_arnold_lab_s"]
+    assert "import arnold_lab" in proc.stdout
