@@ -29,6 +29,10 @@ NAN = float("nan")
 # numeric_inverse enforces |f(x) - y| <= RESIDUAL_TOL * max(1, |y|)
 RESIDUAL_TOL = 1e-12
 
+# a gap subtracted from doubles near x is off by up to about 16 ulps of x;
+# under this many ulps a ratio of two gaps can be off by more than 1e-3
+GAP_FLOOR_ULPS = 2.0 ** 15
+
 
 def theta(x: float) -> float:
     """The flat function: exp(-1/|x|) away from 0, and exactly 0 at 0."""
@@ -54,7 +58,7 @@ def _exp(z: float) -> float:
 
 # numeric functions
 
-# p and q increase strictly here; both inverses of the flat pair are solved on it
+# p and q increase strictly here (a test checks it); the flat inverses are solved on it
 FLAT_BRACKET = (0.0, 0.5)
 
 
@@ -68,30 +72,14 @@ def p(x: float) -> float:
     return x + x * x + theta(x)
 
 
-def check_increasing(fn: Callable[[float], float]) -> None:
-    """Raise NotMonotone unless fn strictly increases along 10 001 evenly
-    spaced points of FLAT_BRACKET, its ends included."""
-    lo, hi = FLAT_BRACKET
-    samples = 10_000
-    previous = fn(lo)
-    step = (hi - lo) / samples
-    for i in range(1, samples + 1):
-        value = fn(lo + i * step)
-        if value <= previous:
-            raise NotMonotone(f"{fn.__name__} is not strictly increasing near {lo + i * step}")
-        previous = value
-
-
 class SeriesFn:
     """Evaluate a truncated series in double precision (Horner).
 
     Its inverse is the exact reversion, built once and evaluated the same
-    way.  bracket and log_partner are None: the sweep metadata then names
-    no bracket, and geometric_sample takes the generic route.
+    way.  bracket is None: the sweep metadata then names no bracket.
     """
 
     bracket = None
-    log_partner = None
 
     def __init__(self, series: TruncatedSeries):
         self.series = series
@@ -116,13 +104,9 @@ class SeriesFn:
 
 class InverseFn:
     """base^(-1) for an increasing base such as p or q, solved by
-    numeric_inverse on FLAT_BRACKET.  log_partner names the g for which
-    the pair (self, g) has exact log-space channels; counterexample_pair
-    sets it.
-    """
+    numeric_inverse on FLAT_BRACKET."""
 
     bracket = FLAT_BRACKET
-    log_partner: "InverseFn | None" = None
 
     def __init__(self, base: Callable[[float], float]):
         self.base = base
@@ -263,12 +247,13 @@ def geometric_sample(
 ) -> GeometricSample:
     """All lengths and ratios of the picture at abscissa x.
 
-    Valid configurations, with f(x) and g(x) finite: f(x) = g(x) (ratios
-    indeterminate), or f(x) and g(x) on the same side of the diagonal with
-    g strictly off it: the f > g > id picture and its mirror image
-    f < g < id, where the counterexample pair lives.  A pair with
-    f.log_partner set to g takes its lengths from log-space identities
-    instead of subtracting doubles.
+    Valid configurations, with f(x) and g(x) finite: f(x) = g(x) as doubles
+    (ratios indeterminate), or f(x) and g(x) on the same side of the
+    diagonal with g strictly off it: the f > g > id picture and its mirror
+    image f < g < id, where the counterexample pair lives.  A pair whose
+    inverses are p and q is that pair, and its lengths come from log-space
+    identities.  Any other pair subtracts doubles near x; a row whose
+    smallest gap is under GAP_FLOOR_ULPS ulps of x comes back "unresolved".
     """
     fx = f(x)
     gx = g(x)
@@ -286,11 +271,11 @@ def geometric_sample(
         if fx < gx:
             flags.append("mirrored")
 
-    if f.log_partner is g:
-        return _counterexample_sample(x, fx, gx, flags)
-
     f_inv = f.inverse()
     g_inv = g.inverse()
+    if f_inv is p and g_inv is q:
+        return _counterexample_sample(x, fx, gx, flags)
+
     ab = abs(fx - gx)
     bc = abs(x - f_inv(gx))
     g_inv_x = g_inv(x)
@@ -300,9 +285,10 @@ def geometric_sample(
     if fx == gx:
         flags.append("indeterminate")
         ratio_ab_bc = ratio_bc_ed = NAN
+    elif min(ab, bc, ed) < GAP_FLOOR_ULPS * math.ulp(x):
+        return _flagged_row(x, "unresolved")
     else:
-        ratio_ab_bc = ab / bc if bc != 0.0 else NAN
-        ratio_bc_ed = bc / ed if ed != 0.0 else NAN
+        ratio_ab_bc, ratio_bc_ed = ab / bc, bc / ed
     ratio_ddp_fdp = ddp / fdp if fdp != 0.0 else NAN
     log_ratio = math.log(ddp) - math.log(fdp) if ddp > 0.0 and fdp > 0.0 else NAN
     return GeometricSample(x, ab, bc, ed, ddp, fdp, ratio_ab_bc, ratio_bc_ed,
@@ -437,15 +423,10 @@ def counterexample_pair() -> tuple[InverseFn, InverseFn]:
     """The C-infinity pair: f = p_inv, g = q_inv with p = q + theta.
 
     p and q are explicit; f and g are solved by numeric_inverse, which is why
-    the pair is built on the inverse side.  Each call first checks that p
-    and q increase on FLAT_BRACKET, where both are solved to RESIDUAL_TOL.
-    f.log_partner is g, so geometric_sample evaluates this pair in log space.
+    the pair is built on the inverse side.  geometric_sample knows the pair
+    by its inverses, p and q, and evaluates it in log space.
     """
-    check_increasing(p)
-    check_increasing(q)
-    f, g = InverseFn(p), InverseFn(q)
-    f.log_partner = g
-    return f, g
+    return InverseFn(p), InverseFn(q)
 
 
 def counterexample_sweep(t_values: list[float] | tuple[float, ...]) -> SweepTable:

@@ -8,6 +8,7 @@ from math import comb, factorial
 
 from arnold_lab import (
     FlatToOrder,
+    NotMonotone,
     TruncatedSeries,
     UnknownFunction,
     add,
@@ -29,6 +30,21 @@ from arnold_lab.expressions import (
     Scale,
     Sum,
 )
+from arnold_lab.numeric import FLAT_BRACKET
+
+
+def check_increasing(fn) -> None:
+    """Raise NotMonotone unless fn strictly increases along 10 001 evenly
+    spaced points of FLAT_BRACKET, its ends included."""
+    lo, hi = FLAT_BRACKET
+    samples = 10_000
+    previous = fn(lo)
+    step = (hi - lo) / samples
+    for i in range(1, samples + 1):
+        value = fn(lo + i * step)
+        if value <= previous:
+            raise NotMonotone(f"{fn.__name__} is not strictly increasing near {lo + i * step}")
+        previous = value
 
 
 def bisection_inverse(f, y: float, bracket: tuple[float, float]) -> float:

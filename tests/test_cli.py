@@ -299,6 +299,22 @@ class TestSweep:
             assert proc.stdout.count("configuration_violated") == 2
             assert "indeterminate" not in proc.stdout
 
+    def test_rows_below_rounding_floor_are_unresolved(self):
+        # the pair differs at x^7, so its gaps sink under the rounding of x
+        proc = run_cli(
+            "sweep", "--f", "tan o sin", "--g", "sin o tan",
+            "--xs", "0.03,0.02,0.01,0.005,0.003,0.001",
+        )
+        assert proc.returncode == 0
+        flags = [row.split(",")[-1] for row in proc.stdout.strip().split("\n")[1:]]
+        assert flags == ["", "unresolved", "unresolved", "unresolved",
+                         "indeterminate", "indeterminate"]
+
+    def test_all_rows_below_floor_exit_5(self):
+        proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.01,0.005")
+        assert proc.returncode == 5
+        assert proc.stdout.count("unresolved") == 2
+
     def test_bad_xs_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--xs", "0.3,abc")
         assert proc.returncode == 4

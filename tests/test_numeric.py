@@ -31,9 +31,9 @@ from arnold_lab import (
     sweep,
     theta,
 )
-from arnold_lab.numeric import CSV_HEADER, check_increasing, p, q, thread_cap
+from arnold_lab.numeric import CSV_HEADER, p, q, thread_cap
 
-from helpers import bisection_inverse
+from helpers import bisection_inverse, check_increasing
 
 E_INV = 0.36787944117144233
 
@@ -121,6 +121,15 @@ class TestMonotoneConstruction:
         with pytest.raises(NotMonotone, match="shifted is not strictly increasing"):
             check_increasing(shifted)
 
+    def test_pair_is_built_without_evaluating_p_or_q(self, monkeypatch):
+        calls = []
+        for name in ("p", "q"):
+            base = getattr(numeric, name)
+            monkeypatch.setattr(numeric, name, lambda x, base=base: calls.append(x) or base(x))
+        f, g = counterexample_pair()
+        assert calls == []
+        assert f.inverse() is numeric.p and g.inverse() is numeric.q
+
 
 class TestCounterexampleChannels:
     def setup_method(self):
@@ -172,15 +181,11 @@ class TestCounterexampleChannels:
         row = counterexample_sweep([1e-100]).rows[0]
         assert row.log_ratio_DDp_FDp == pytest.approx(1e100, rel=1e-12)
 
-    def test_hand_built_pair_takes_generic_route(self):
-        # without log_partner the lengths are differences of doubles
+    def test_hand_built_pair_takes_log_route(self):
+        # the route follows the inverses p and q, not the object that built the pair
         f, g = InverseFn(p), InverseFn(q)
-        generic = geometric_sample(f, g, 0.11)
-        logspace = geometric_sample(self.f, self.g, 0.11)
-        assert generic.ratio_AB_BC == pytest.approx(logspace.ratio_AB_BC, rel=1e-9)
-        assert generic.ratio_BC_ED == pytest.approx(logspace.ratio_BC_ED, rel=1e-9)
-        assert generic.flags == logspace.flags == ("mirrored",)
-        assert f.inverse() is p and g.inverse() is q
+        for x in (0.11, 0.03, 0.02, 0.001):
+            assert geometric_sample(f, g, x) == geometric_sample(self.f, self.g, x), x
 
     def test_divergence_diagnostic_frozen(self):
         q = self.g.inverse()
