@@ -29,6 +29,8 @@ EXIT_EMPTY = 5
 
 # the largest --order accepted; far beyond it a series does not fit in memory
 MAX_ORDER = 10_000
+# the largest --points accepted; a table that long peaks at 1.0-1.6 GiB
+MAX_POINTS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,12 +107,19 @@ def _table_text(table: SweepTable, fmt: str) -> str:
 
 def _log_spaced(lo: float, hi: float, points: int) -> list[float]:
     """points values from hi down to lo, uniform in log."""
-    if points == 1:
+    if _count(points, "--points", MAX_POINTS) == 1:
         return [hi]
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     values = [math.exp(math.log(hi) - k * step) for k in range(points)]
     values[0], values[-1] = hi, lo
     return values
+
+
+def _falling(xs: list[float], lo: float, hi: float, points: int) -> None:
+    # a grid of distinct values can still round to a repeated abscissa
+    if any(a <= b for a, b in zip(xs, xs[1:])):
+        raise _Usage(f"--points {points} over [{lo!r}, {hi!r}] repeats an abscissa; "
+                     "use fewer points or a wider range")
 
 
 def _cmd_eval(args) -> int:
@@ -157,7 +166,9 @@ def _cmd_counterexample(args) -> int:
     if t_min < sys.float_info.min:
         # -1/t must stay finite for every root the inverse can round t to
         raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")
-    table = numeric.counterexample_sweep(_log_spaced(t_min, t_max, _positive(points, "--points")))
+    t_values = _log_spaced(t_min, t_max, points)
+    _falling([numeric.q(t) for t in t_values], t_min, t_max, points)
+    table = numeric.counterexample_sweep(t_values)
     _emit(_table_text(table, args.format), args.out)
     return EXIT_OK
 
@@ -180,7 +191,8 @@ def _cmd_sweep(args) -> int:
             raise _Usage("need --xs or all of --x-min/--x-max/--points")
         if not 0.0 < args.x_min < args.x_max < math.inf:
             raise _Usage("need 0 < --x-min < --x-max < inf")
-        xs = _log_spaced(args.x_min, args.x_max, _positive(args.points, "--points"))
+        xs = _log_spaced(args.x_min, args.x_max, args.points)
+        _falling(xs, args.x_min, args.x_max, args.points)
     table = sweep(f, g, xs)
     _emit(_table_text(table, args.format), args.out)
     if all("configuration_violated" in r.flags or "unresolved" in r.flags for r in table.rows):
@@ -192,16 +204,16 @@ class _Usage(Exception):
     pass
 
 
-def _positive(value: int, flag: str) -> int:
+def _count(value: int, flag: str, bound: int) -> int:
     if value < 1:
         raise _Usage(f"{flag} must be >= 1")
+    if value > bound:
+        raise _Usage(f"{flag} must be <= {bound}")
     return value
 
 
 def _order(value: int) -> int:
-    if value > MAX_ORDER:
-        raise _Usage(f"--order must be <= {MAX_ORDER}")
-    return _positive(value, "--order")
+    return _count(value, "--order", MAX_ORDER)
 
 
 def _load_json(text: str):

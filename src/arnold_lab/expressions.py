@@ -15,6 +15,7 @@ encoding of the input plus the token kinds that would have been accepted.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ArnoldLabError, Record
@@ -67,68 +68,40 @@ class ParseError(ArnoldLabError):
         return {"offset": self.offset, "expected": list(self.expected)}
 
 
-# tokenizer
-
-_SYMBOLS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "^", "(": "(", ")": ")"}
-_COMPOSE_ALIASES = {"o", "∘"}
+# tokenizer: the group that matches a lexeme names its kind, and a word is a
+# token only if it starts with a letter or "_"; \s and \w test str.isspace()
+# and str.isalnum() or "_", offsets count UTF-8 bytes
+_LEXEME = re.compile(
+    r"(?P<space>\s+)|(?P<int>[0-9]+)|(?P<word>\w+)|(?P<o>∘)|(?P<symbol>[-+*/^()])|."
+)
 
 
 class _Token(Record):
-    # kind is "name", "x", "int", "o", one of _SYMBOLS or "end"; offset is 1-based in bytes
+    # kind is "name", "x", "int", "o", a symbol or "end"; offset is 1-based in bytes
     __slots__ = ("kind", "text", "offset")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    byte_pos = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        start = byte_pos
-        if ch in "0123456789":
-            j = i
-            while j < n and text[j] in "0123456789":
-                j += 1
+    offset = 1
+    for match in _LEXEME.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            kind = lexeme if lexeme in ("x", "o") else "name"
+        elif kind == "symbol":
+            kind = lexeme
+        elif kind == "int":
             try:
-                int(text[i:j])
+                int(lexeme)
             except ValueError:  # more digits than int() converts
-                raise ParseError(start, ("shorter integer",), f"{j - i}-digit integer") from None
-            tokens.append(_Token("int", text[i:j], start))
-            byte_pos += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _COMPOSE_ALIASES:
-                kind = "o"
-            elif word == "x":
-                kind = "x"
-            else:
-                kind = "name"
-            tokens.append(_Token(kind, word, start))
-            byte_pos += len(word.encode("utf-8"))
-            i = j
-            continue
-        if ch in _COMPOSE_ALIASES:
-            tokens.append(_Token("o", ch, start))
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, start))
-            byte_pos += 1
-            i += 1
-            continue
-        raise ParseError(start, ("a valid token",), repr(ch))
-    tokens.append(_Token("end", "end of input", byte_pos))
+                found = f"{len(lexeme)}-digit integer"
+                raise ParseError(offset, ("shorter integer",), found) from None
+        elif kind not in ("space", "o"):  # a word led by a digit, or any other character
+            raise ParseError(offset, ("a valid token",), repr(lexeme[0]))
+        if kind != "space":
+            tokens.append(_Token(kind, lexeme, offset))
+        offset += len(lexeme.encode("utf-8"))
+    tokens.append(_Token("end", "end of input", offset))
     return tokens
 
 

@@ -227,19 +227,14 @@ def _counterexample_sample(
     log_u, log_bc, log_ed = log_theta(u), log_theta(v), log_theta(x)
     if not all(map(math.isfinite, (log_u, log_bc, log_ed))):
         return _flagged_row(x, "unresolved")
-    log_ab = log_u - math.log1p(u + v)
-    log_ddp = 2.0 * math.log(x)
-    log_fdp = log_bc
-    raw = [_exp(c) for c in (log_ab, log_bc, log_ed, log_fdp)]
-    ab, bc, ed, fdp = raw
-    ddp = x * x
-    if any(value == 0.0 and math.isfinite(channel) for value, channel in
-           zip(raw, (log_ab, log_bc, log_ed, log_fdp))):
+    ab, bc, ed = (_exp(c) for c in (log_u - math.log1p(u + v), log_bc, log_ed))
+    if 0.0 in (ab, bc, ed):  # a finite channel underflowed
         flags.append("logspace")
     # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
     ratio_ab_bc = _exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0))
-    return GeometricSample(x, ab, bc, ed, ddp, fdp, ratio_ab_bc, counterexample_ratio(v),
-                           _exp(log_ddp - log_fdp), log_ddp - log_fdp, tuple(flags))
+    log_ratio = 2.0 * math.log(x) - log_bc  # log(DDp / FDp), FDp = BC
+    return GeometricSample(x, ab, bc, ed, x * x, bc, ratio_ab_bc, counterexample_ratio(v),
+                           _exp(log_ratio), log_ratio, tuple(flags))
 
 
 def geometric_sample(

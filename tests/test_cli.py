@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end via subprocess."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -235,6 +236,19 @@ class TestCounterexample:
         proc = run_cli("counterexample", "--t-min", "0.1", "--t-max", "0.7", "--points", "3")
         assert proc.returncode == 4
 
+    def test_collapsed_grid_is_usage(self):
+        # two distinct t that q rounds to one x, and t that round to one double
+        for t_min, t_max, points in (
+            ("0.22000000000000008", "0.2200000000000001", "2"),
+            ("0.1", "0.10000000000000002", "5"),
+        ):
+            proc = run_cli(
+                "counterexample", "--t-min", t_min, "--t-max", t_max, "--points", points
+            )
+            assert proc.returncode == 4, t_min
+            assert proc.stdout == ""
+            assert f"--points {points} over [{t_min}, {t_max}]" in proc.stderr
+
     def test_subnormal_t_min_is_usage(self):
         # the log channels hold -1/t: it overflows below 1/DBL_MAX, and one ulp
         # above that the inverse still rounds t down to 1/DBL_MAX
@@ -344,6 +358,15 @@ class TestSweep:
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--x-min", "0.1")
         assert proc.returncode == 4
 
+    def test_collapsed_grid_is_usage(self):
+        proc = run_cli(
+            "sweep", "--f", "tan o sin", "--g", "sin o tan",
+            "--x-min", "0.1", "--x-max", "0.1000000000000001", "--points", "5",
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "--points 5 over [0.1, 0.1000000000000001]" in proc.stderr
+
     def test_increasing_xs_rejected(self):
         proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.1,0.2")
         assert proc.returncode == 3
@@ -374,6 +397,33 @@ class TestSweep:
             env_extra={"ARNOLD_LAB_THREADS": "zero"},
         )
         assert proc.returncode == 4
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestPointsBound:
+    # unbounded, a grid of 10^8 points ends in a MemoryError under this limit;
+    # a table at the bound itself peaks at 1.0-1.6 GiB and is not run here
+    GRIDS = (
+        ("counterexample", "--t-min", "1e-6", "--t-max", "0.1"),
+        ("sweep", "--f", "tan o sin", "--g", "sin o tan", "--x-min", "0.05", "--x-max", "0.4"),
+    )
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=("counterexample", "sweep"))
+    def test_points_above_bound_is_usage(self, grid):
+        for points in ("100000000", "1000001"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnold_lab", *grid, "--points", points],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                preexec_fn=_address_space_limit,
+            )
+            assert proc.returncode == 4, (points, proc.stderr[-300:])
+            assert proc.stdout == ""
+            assert "--points must be <= 1000000" in proc.stderr
 
 
 class TestTopLevel:

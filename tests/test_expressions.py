@@ -128,6 +128,40 @@ class TestParseErrors:
         }
 
 
+class TestLexicalRules:
+    # whitespace is str.isspace(), a name starts with str.isalpha() or "_" and
+    # goes on with str.isalnum() or "_", and offsets count UTF-8 bytes
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u001c", "\u0085"])
+    def test_unicode_whitespace_separates_tokens(self, space):
+        assert parse(f"tan{space}o{space}sin{space}") == parse("tan o sin")
+
+    @pytest.mark.parametrize("text, offset, found", [
+        ("tan ∘ x $", 11, "'$'"),  # the ring operator is 3 bytes
+        ("sin ∘ 🙂", 9, "'🙂'"),
+        ("²", 1, "'²'"),  # a digit, but not a letter
+        ("٣ * x", 1, "'٣'"),
+        ("sin \u0301", 5, "'\u0301'"),  # a lone combining mark
+    ])
+    def test_invalid_token_offsets(self, text, offset, found):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            offset, ("a valid token",), found
+        )
+
+    @pytest.mark.parametrize("name", ["x٣", "o2", "_"])
+    def test_names(self, name):
+        assert parse(name) == Primitive(name)
+
+    def test_integer_longer_than_int_converts(self):
+        with pytest.raises(ParseError) as info:
+            parse("1" * 5000 + " * x")
+        assert (info.value.offset, info.value.expected, info.value.found) == (
+            1, ("shorter integer",), "5000-digit integer"
+        )
+
+
 class TestRender:
     def test_examples(self):
         assert render(Compose(Primitive("tan"), Primitive("sin"))) == "tan o sin"
