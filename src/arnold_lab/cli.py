@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import numeric
@@ -19,7 +20,7 @@ from .expressions import ParseError, parse
 from .inversion import compositional_inverse
 from .limits import arnold_ratio
 from .series import series_from_json, series_to_json
-from .numeric import SeriesFn, SweepTable, sweep, thread_cap
+from .numeric import SeriesFn, sweep, thread_cap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,7 +30,7 @@ EXIT_EMPTY = 5
 
 # the largest --order accepted; far beyond it a series does not fit in memory
 MAX_ORDER = 10_000
-# the largest --points accepted; a table that long peaks at 1.0-1.6 GiB
+# the largest --points accepted; a table that long peaks at about 0.5 GiB
 MAX_POINTS = 1_000_000
 
 
@@ -81,28 +82,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            handle = open(out_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise _Usage(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
-        with handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces, out_path: str | None = None) -> None:
+    """Write the pieces of one output, in order, to --out or stdout."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+    except OSError as exc:
+        target = f"--out {out_path!r}" if out_path else "stdout"
+        raise _Usage(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _series_text(series) -> str:
     lines = [f"order {series.order}"]
     lines += [f"x^{k}: {c}" for k, c in enumerate(series.coefficients)]
-    return "\n".join(lines) + "\n"
-
-
-def _table_text(table: SweepTable, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(table.to_json_dict()) + "\n"
-    return table.to_csv()
+    return "\n".join(lines)
 
 
 def _log_spaced(lo: float, hi: float, points: int) -> list[float]:
@@ -124,10 +121,8 @@ def _falling(xs: list[float], lo: float, hi: float, points: int) -> None:
 
 def _cmd_eval(args) -> int:
     series = eval_expr(parse(args.expr), _order(args.order))
-    if args.format == "json":
-        _emit(json.dumps(series_to_json(series)) + "\n", None)
-    else:
-        _emit(_series_text(series), None)
+    text = json.dumps(series_to_json(series)) if args.format == "json" else _series_text(series)
+    _emit([text + "\n"])
     return EXIT_OK
 
 
@@ -145,7 +140,7 @@ def _cmd_invert(args) -> int:
                 )
             series = series.truncate(_order(args.order))
     witness = compositional_inverse(series)
-    _emit(json.dumps(witness.to_json_dict(with_residuals=args.with_residuals)) + "\n", None)
+    _emit([json.dumps(witness.to_json_dict(with_residuals=args.with_residuals)) + "\n"])
     return EXIT_OK
 
 
@@ -154,7 +149,7 @@ def _cmd_limit(args) -> int:
     f = eval_expr(parse(args.f), order)
     g = eval_expr(parse(args.g), order)
     report = arnold_ratio(f, g)
-    _emit(json.dumps(report.to_json_dict()) + "\n", None)
+    _emit([json.dumps(report.to_json_dict()) + "\n"])
     return EXIT_OK
 
 
@@ -166,10 +161,10 @@ def _cmd_counterexample(args) -> int:
     if t_min < sys.float_info.min:
         # -1/t must stay finite for every root the inverse can round t to
         raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")
-    t_values = _log_spaced(t_min, t_max, points)
-    _falling([numeric.q(t) for t in t_values], t_min, t_max, points)
-    table = numeric.counterexample_sweep(t_values)
-    _emit(_table_text(table, args.format), args.out)
+    xs = [numeric.q(t) for t in _log_spaced(t_min, t_max, points)]
+    _falling(xs, t_min, t_max, points)
+    table = sweep(*numeric.counterexample_pair(), xs)
+    _emit(table.pieces(args.format), args.out)
     return EXIT_OK
 
 
@@ -194,7 +189,7 @@ def _cmd_sweep(args) -> int:
         xs = _log_spaced(args.x_min, args.x_max, args.points)
         _falling(xs, args.x_min, args.x_max, args.points)
     table = sweep(f, g, xs)
-    _emit(_table_text(table, args.format), args.out)
+    _emit(table.pieces(args.format), args.out)
     if all("configuration_violated" in r.flags or "unresolved" in r.flags for r in table.rows):
         return EXIT_EMPTY
     return EXIT_OK
@@ -253,7 +248,12 @@ def console_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(console_main())
+    code = console_main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # reported already; the exit-time flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from operator import attrgetter
 
 from .errors import (
     BracketInvalid,
@@ -204,6 +205,8 @@ class GeometricSample(Record):
 CSV_COLUMNS = tuple(name for name in GeometricSample.__slots__
                     if name not in ("ratio_DDp_FDp", "flags"))
 CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + ",%s\n"
+_csv_cells = attrgetter(*CSV_COLUMNS)
 
 
 def _counterexample_sample(
@@ -326,6 +329,9 @@ def flatness_check(n: int, xs: list[float] | tuple[float, ...]) -> list[float]:
 
 # sweeps
 
+# rows per piece of a table's text: one write, and one json.dumps, per piece
+ROWS_PER_PIECE = 1024
+
 
 class SweepTable(Record):
     """Rows of GeometricSample at strictly decreasing abscissas.
@@ -337,27 +343,28 @@ class SweepTable(Record):
     __slots__ = ("rows", "f_label", "g_label", "bracket")
     _defaults = {"bracket": None}
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            cells = ["%.17g" % getattr(r, name) for name in CSV_COLUMNS]
-            cells.append(";".join(r.flags))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    def pieces(self, fmt: str) -> Iterator[str]:
+        """The table's text in fmt ("csv" or "json"): the header, then the
+        text of at most ROWS_PER_PIECE rows at a time, then the JSON tail."""
+        rows = self.rows
+        chunks = (rows[i:i + ROWS_PER_PIECE] for i in range(0, len(rows), ROWS_PER_PIECE))
+        if fmt == "csv":
+            yield CSV_HEADER + "\n"
+            for chunk in chunks:
+                yield "".join([_CSV_ROW % (*_csv_cells(r), ";".join(r.flags)) for r in chunk])
+            return
+        import json  # here, so that importing the package does not load json
 
-    def to_json_dict(self) -> dict:
-        return {
-            "metadata": {
-                "f": self.f_label,
-                "g": self.g_label,
-                "bracket": list(self.bracket) if self.bracket else None,
-                "tol": RESIDUAL_TOL if self.bracket else None,
-            },
-            "rows": [{"x": r.x, "AB": r.AB, "BC": r.BC, "ED": r.ED, "DDp": r.DDp, "FDp": r.FDp,
-                      "ratio_AB_BC": r.ratio_AB_BC, "ratio_BC_ED": r.ratio_BC_ED,
-                      "ratio_DDp_FDp": r.ratio_DDp_FDp, "log_ratio_DDp_FDp": r.log_ratio_DDp_FDp,
-                      "flags": list(r.flags)} for r in self.rows],
-        }
+        bracket = self.bracket
+        yield json.dumps({"metadata": {"f": self.f_label, "g": self.g_label,
+                                       "bracket": list(bracket) if bracket else None,
+                                       "tol": RESIDUAL_TOL if bracket else None},
+                          "rows": []})[:-2]  # up to and including the rows' "["
+        for k, chunk in enumerate(chunks):
+            # one encoder run per piece; slicing off its brackets keeps its separators
+            text = json.dumps([dict(zip(GeometricSample.__slots__, r._values(r))) for r in chunk])
+            yield (", " if k else "") + text[1:-1]
+        yield "]}\n"
 
 
 def thread_cap(row_count: int) -> int:
@@ -426,5 +433,4 @@ def counterexample_pair() -> tuple[InverseFn, InverseFn]:
 
 def counterexample_sweep(t_values: list[float] | tuple[float, ...]) -> SweepTable:
     """Sweep the counterexample pair at abscissas x = q(t), t decreasing."""
-    f, g = counterexample_pair()
-    return sweep(f, g, [q(float(t)) for t in t_values])
+    return sweep(*counterexample_pair(), [q(float(t)) for t in t_values])

@@ -1,18 +1,22 @@
 """End-to-end checks of the command-line front end via subprocess."""
 
+import contextlib
+import io
 import json
+import os
 import resource
 import subprocess
 import sys
 
 import pytest
 
+from arnold_lab.cli import console_main
+from arnold_lab.numeric import ROWS_PER_PIECE
+
 E_INV = 0.36787944117144233
 
 
 def run_cli(*argv, env_extra=None):
-    import os
-
     env = dict(os.environ)
     env.pop("ARNOLD_LAB_THREADS", None)
     if env_extra:
@@ -405,7 +409,7 @@ def _address_space_limit():
 
 class TestPointsBound:
     # unbounded, a grid of 10^8 points ends in a MemoryError under this limit;
-    # a table at the bound itself peaks at 1.0-1.6 GiB and is not run here
+    # a table at the bound itself peaks at about 0.5 GiB and is not run here
     GRIDS = (
         ("counterexample", "--t-min", "1e-6", "--t-max", "0.1"),
         ("sweep", "--f", "tan o sin", "--g", "sin o tan", "--x-min", "0.05", "--x-max", "0.4"),
@@ -426,6 +430,95 @@ class TestPointsBound:
             assert "--points must be <= 1000000" in proc.stderr
 
 
+class _RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _in_process(argv):
+    out, err = _RecordingStdout(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    return code, out, err.getvalue()
+
+
+def _child_env(unbuffered):
+    env = dict(os.environ)
+    env.pop("ARNOLD_LAB_THREADS", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _assert_write_failed(code, stderr):
+    assert code == 4, stderr
+    lines = [line for line in stderr.splitlines() if "cannot write" in line]
+    assert len(lines) == 1 and lines[0].startswith("arnold-lab: error: cannot write"), stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=("unbuffered", "buffered"))
+SMALL_TABLE = ("counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "50")
+
+
+class TestWrites:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_is_written_a_piece_at_a_time(self, fmt):
+        points = str(int(2.5 * ROWS_PER_PIECE))
+        code, out, err = _in_process([
+            "sweep", "--f", "tan o sin", "--g", "sin o tan",
+            "--x-min", "0.05", "--x-max", "0.4", "--points", points, "--format", fmt,
+        ])
+        assert code == 0, err
+        text = out.getvalue()
+        assert len(out.sizes) >= 3
+        assert max(out.sizes) <= len(text) / 2
+
+    @needs_dev_full
+    def test_out_to_full_device_is_usage(self):
+        code, out, err = _in_process([*SMALL_TABLE, "--out", "/dev/full"])
+        assert out.getvalue() == ""
+        _assert_write_failed(code, err)
+        assert "cannot write --out '/dev/full'" in err
+
+    @needs_dev_full
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [("eval", "--expr", "sin", "--order", "5"), SMALL_TABLE],
+                             ids=("eval", "counterexample"))
+    def test_stdout_to_full_device_is_usage(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnold_lab", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_child_env(unbuffered), timeout=60,
+            )
+        _assert_write_failed(proc.returncode, proc.stderr)
+        assert "cannot write stdout" in proc.stderr
+
+    @BUFFERING
+    def test_reader_that_closes_early_is_usage(self, unbuffered):
+        # 2000 rows are far more than the pipe holds, so the writer is still
+        # writing when the reader closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arnold_lab", "counterexample",
+             "--t-min", "1e-6", "--t-max", "0.1", "--points", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_child_env(unbuffered),
+        )
+        assert proc.stdout.read(10) == b"x,AB,BC,ED"
+        proc.stdout.close()
+        stderr = proc.communicate(timeout=60)[1].decode()
+        _assert_write_failed(proc.returncode, stderr)
+        assert "cannot write stdout" in stderr
+
+
 class TestTopLevel:
     def test_no_command_is_usage(self):
         proc = run_cli()
@@ -436,6 +529,4 @@ class TestTopLevel:
         assert proc.returncode == 4
 
     def test_console_script_entry(self):
-        from arnold_lab.cli import console_main
-
         assert console_main(["eval", "--expr", "x", "--order", "2"]) == 0

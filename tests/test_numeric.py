@@ -31,11 +31,45 @@ from arnold_lab import (
     sweep,
     theta,
 )
-from arnold_lab.numeric import CSV_HEADER, p, q, thread_cap
+from arnold_lab.numeric import (
+    CSV_COLUMNS,
+    CSV_HEADER,
+    ROWS_PER_PIECE,
+    GeometricSample,
+    SweepTable,
+    p,
+    q,
+    thread_cap,
+)
 
 from helpers import bisection_inverse, check_increasing
 
 E_INV = 0.36787944117144233
+
+
+# the whole-table serializations that SweepTable.pieces replaced, kept as its oracle
+def _whole_csv(table):
+    lines = [CSV_HEADER]
+    for r in table.rows:
+        cells = ["%.17g" % getattr(r, name) for name in CSV_COLUMNS]
+        cells.append(";".join(r.flags))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _whole_json(table):
+    return json.dumps({
+        "metadata": {
+            "f": table.f_label,
+            "g": table.g_label,
+            "bracket": list(table.bracket) if table.bracket else None,
+            "tol": numeric.RESIDUAL_TOL if table.bracket else None,
+        },
+        "rows": [{"x": r.x, "AB": r.AB, "BC": r.BC, "ED": r.ED, "DDp": r.DDp, "FDp": r.FDp,
+                  "ratio_AB_BC": r.ratio_AB_BC, "ratio_BC_ED": r.ratio_BC_ED,
+                  "ratio_DDp_FDp": r.ratio_DDp_FDp, "log_ratio_DDp_FDp": r.log_ratio_DDp_FDp,
+                  "flags": list(r.flags)} for r in table.rows],
+    }) + "\n"
 
 
 class TestTheta:
@@ -352,7 +386,7 @@ class TestSweep:
 
     def test_csv_shape(self):
         table = counterexample_sweep([0.1, 0.001])
-        text = table.to_csv()
+        text = "".join(table.pieces("csv"))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
@@ -362,7 +396,7 @@ class TestSweep:
 
     def test_json_mirror(self):
         table = counterexample_sweep([0.1])
-        obj = table.to_json_dict()
+        obj = json.loads("".join(table.pieces("json")))
         assert obj["metadata"]["f"] == "inverse(p)"
         assert obj["metadata"]["g"] == "inverse(q)"
         assert len(obj["rows"]) == 1
@@ -371,7 +405,7 @@ class TestSweep:
         assert obj["metadata"]["tol"] == 1e-12
         f = SeriesFn(eval_text("tan o sin", 8))
         g = SeriesFn(eval_text("sin o tan", 8))
-        metadata = sweep(f, g, [0.1]).to_json_dict()["metadata"]
+        metadata = json.loads("".join(sweep(f, g, [0.1]).pieces("json")))["metadata"]
         assert metadata["bracket"] is None
         assert metadata["tol"] is None
 
@@ -385,8 +419,8 @@ class TestSweep:
         ]
         seen = set()
         for table in tables:
-            header, *lines = table.to_csv().rstrip("\n").split("\n")
-            rows = json.loads(json.dumps(table.to_json_dict()))["rows"]
+            header, *lines = "".join(table.pieces("csv")).rstrip("\n").split("\n")
+            rows = json.loads("".join(table.pieces("json")))["rows"]
             assert len(lines) == len(rows)
             for line, row in zip(lines, rows):
                 assert header.split(",") == [key for key in row if key != "ratio_DDp_FDp"]
@@ -396,6 +430,30 @@ class TestSweep:
                 seen.update(row["flags"])
         assert {"mirrored", "logspace", "unresolved", "indeterminate",
                 "configuration_violated"} <= seen
+
+    @pytest.mark.parametrize("count", [1, ROWS_PER_PIECE, ROWS_PER_PIECE + 1])
+    def test_pieces_join_to_the_whole_table(self, count):
+        f = SeriesFn(eval_text("tan o sin", 12))
+        g = SeriesFn(eval_text("sin o tan", 12))
+        violated = (SeriesFn(eval_text("x + x^2", 6)), SeriesFn(eval_text("x + 2 * x^2", 6)))
+        # every flag, NaN ratios, and infinities of both signs
+        pool = [
+            *sweep(*counterexample_pair(), [0.8, 0.11, 0.001]).rows,
+            *sweep(f, g, [0.3, 0.1, 0.001]).rows,
+            *sweep(*violated, [0.1]).rows,
+            GeometricSample(0.5, math.inf, 1.0, 2.0, 0.25, 1.0, math.inf, 0.5, 0.0, -math.inf, ()),
+        ]
+        assert {flag for row in pool for flag in row.flags} == {
+            "mirrored", "logspace", "unresolved", "indeterminate", "configuration_violated"}
+        rows = tuple(pool[k % len(pool)] for k in range(count))
+        for bracket in (None, numeric.FLAT_BRACKET):
+            table = SweepTable(rows, "f label", "g label", bracket)
+            csv_pieces, json_pieces = list(table.pieces("csv")), list(table.pieces("json"))
+            chunks = -(-count // ROWS_PER_PIECE)
+            assert len(csv_pieces) == 1 + chunks
+            assert len(json_pieces) == 2 + chunks
+            assert "".join(csv_pieces) == _whole_csv(table)
+            assert "".join(json_pieces) == _whole_json(table)
 
     def test_series_sweep_reverts_each_function_once(self, monkeypatch):
         calls = []
@@ -413,9 +471,9 @@ class TestSweep:
 
     def test_thread_count_does_not_change_bytes(self, monkeypatch):
         monkeypatch.setenv("ARNOLD_LAB_THREADS", "1")
-        first = counterexample_sweep([0.1, 0.01, 0.001]).to_csv()
+        first = "".join(counterexample_sweep([0.1, 0.01, 0.001]).pieces("csv"))
         monkeypatch.setenv("ARNOLD_LAB_THREADS", "3")
-        second = counterexample_sweep([0.1, 0.01, 0.001]).to_csv()
+        second = "".join(counterexample_sweep([0.1, 0.01, 0.001]).pieces("csv"))
         assert first == second
 
     def test_thread_cap_env(self, monkeypatch):
