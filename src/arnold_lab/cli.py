@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # argparse drops an OSError from writing --help; stdout goes through _emit instead
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _emit([message])
+        else:
+            super()._print_message(message, file)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arnold-lab", description=__doc__)
@@ -228,13 +235,12 @@ _COMMANDS = {
 
 
 def console_main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        thread_cap(1)  # fail fast on a malformed ARNOLD_LAB_THREADS
-    except InvalidInput as exc:
-        print(f"arnold-lab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
+        try:
+            thread_cap(1)  # fail fast on a malformed ARNOLD_LAB_THREADS
+        except InvalidInput as exc:
+            raise _Usage(str(exc)) from None
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"arnold-lab: error: {exc}", file=sys.stderr)

@@ -104,8 +104,7 @@ class SeriesFn:
 
 
 class InverseFn:
-    """base^(-1) for an increasing base such as p or q, solved by
-    numeric_inverse on FLAT_BRACKET."""
+    """base^(-1) for base p or q, solved by numeric_inverse on FLAT_BRACKET."""
 
     bracket = FLAT_BRACKET
 
@@ -114,65 +113,42 @@ class InverseFn:
         self.label = f"inverse({base.__name__})"
 
     def __call__(self, y: float) -> float:
-        return numeric_inverse(self.base, y, FLAT_BRACKET)
+        return numeric_inverse(self.base, y)
 
     def inverse(self) -> Callable[[float], float]:
         return self.base
 
 
-def numeric_inverse(f: Callable[[float], float], y: float, bracket: tuple[float, float]) -> float:
-    """Solve f(x) = y on the bracket by secant-guided bracketing.
+def numeric_inverse(base: Callable[[float], float], y: float) -> float:
+    """base^(-1)(y) on FLAT_BRACKET, for base q or p = q + theta.
 
-    f must be strictly monotone there.  Secant steps through the newest
-    probe and the best earlier one are taken while they land strictly
-    inside the bracket, then at most 8 gallop steps of ulp * 4^k from the
-    end nearer the last estimate, then midpoints.  Each probe moves one
-    end onto itself by bisection's rule, and the loop stops where bisection
-    stops, at adjacent doubles: for f monotone on doubles the result is
-    bisection's double, in about 9 evaluations of p or q instead of 67.
-    The residual |f(x) - y| <= RESIDUAL_TOL * max(1, |y|) is then enforced; a
-    residual failure or a probe value outside the endpoint range is
-    reported as NotMonotone.
+    v = q^(-1)(y) is the quadratic's root 2y / (1 + sqrt(1 + 4y)), which
+    does not cancel, corrected by one Newton step on q.  For p, the root u
+    solves u - v + theta(u) / (1 + u + v) = 0, since q(v) - q(u) = theta(u);
+    Newton's method runs on that from u = v and stops once a step does not
+    strictly shrink, so it ends, in at most 6 steps on the bracket, with
+    u <= v.  A target outside base(FLAT_BRACKET) is BracketInvalid; the
+    residual |base(x) - y| <= RESIDUAL_TOL * max(1, |y|) is then enforced,
+    and a failure (a base other than p or q) is reported as NotMonotone.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketInvalid(f"bracket ({lo}, {hi}) is empty")
-    flo, fhi = f(lo), f(hi)
-    increasing = fhi >= flo
-    low_value, high_value = min(flo, fhi), max(flo, fhi)
-    if not low_value <= y <= high_value:
+    lo, hi = FLAT_BRACKET
+    if not base(lo) <= y <= base(hi):
         raise BracketInvalid(
-            f"target {y} outside f(bracket) = [{low_value}, {high_value}]"
+            f"target {y} outside base(bracket) = [{base(lo)}, {base(hi)}]"
         )
-    # (x1, f1) is the secant point nearer y, so the step taken from it does not cancel
-    x0, f0, x1, f1 = (lo, flo, hi, fhi) if abs(fhi - y) <= abs(flo - y) else (hi, fhi, lo, flo)
-    steps = None
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    v = 2.0 * y / (1.0 + math.sqrt(1.0 + 4.0 * y))
+    v -= (q(v) - y) / (1.0 + 2.0 * v)
+    x, last = v, math.inf
+    while base is p and (th := theta(x)) > 0.0:  # where theta(x) underflows, x = v solves p
+        s = 1.0 + x + v
+        step = (x - v + th / s) / (1.0 + (th / x / x - th / s) / s)
+        if not abs(step) < last:
             break
-        if steps is None:
-            x = x1 - (f1 - y) * ((x1 - x0) / (f1 - f0)) if f1 != f0 else x1
-            if not lo < x < hi:  # the secant stalled: gallop from the end nearer x
-                origin, unit = (lo, math.ulp(lo)) if x - lo <= hi - x else (hi, -math.ulp(hi))
-                steps = [unit * 4.0 ** k for k in range(8)]  # capped: a flat stall can be far off
-        if steps is not None:
-            x = origin + steps.pop(0) if steps else mid
-            if not lo < x < hi:
-                x = mid
-        fx = f(x)
-        if not low_value <= fx <= high_value:
-            raise NotMonotone(f"sign anomaly at {x}: f outside endpoint range")
-        if (fx < y) == increasing:
-            lo = x
-        else:
-            hi = x
-        x0, f0, x1, f1 = (x1, f1, x, fx) if abs(fx - y) <= abs(f1 - y) else (x, fx, x1, f1)
-    x = 0.5 * (lo + hi)
-    if abs(f(x) - y) > RESIDUAL_TOL * max(1.0, abs(y)):
+        x, last = x - step, abs(step)
+    if abs(base(x) - y) > RESIDUAL_TOL * max(1.0, abs(y)):
         raise NotMonotone(
-            f"inverse converged to {x} but |f(x) - y| exceeds tolerance; "
-            "is f monotone on the bracket?"
+            f"inverse converged to {x} but |base(x) - y| exceeds tolerance; "
+            "is the base p or q?"
         )
     return x
 

@@ -48,11 +48,11 @@ def check_increasing(fn) -> None:
 
 
 def bisection_inverse(f, y: float, bracket: tuple[float, float]) -> float:
-    """The oracle for numeric_inverse: plain bisection of the bracket.
+    """The oracle for SeriesFn inverses: plain bisection of the bracket.
 
-    Halve until the ends are adjacent doubles, with the update rule and
-    stop condition numeric_inverse keeps, and return 0.5 * (lo + hi).
+    Halve until the ends are adjacent doubles and return 0.5 * (lo + hi).
     There is no iteration cap, so tiny targets get their exact double.
+    The flat roots of numeric_inverse are held to beat its worst error.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     increasing = f(hi) >= f(lo)

@@ -502,6 +502,21 @@ class TestWrites:
         _assert_write_failed(proc.returncode, proc.stderr)
         assert "cannot write stdout" in proc.stderr
 
+    @needs_dev_full
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help"), ("counterexample", "--help")],
+                             ids=("top", "sweep", "counterexample"))
+    def test_help_to_full_device_is_usage(self, argv, unbuffered):
+        # argparse writes the help itself, inside parse_args
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnold_lab", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_child_env(unbuffered), timeout=60,
+            )
+        _assert_write_failed(proc.returncode, proc.stderr)
+        assert "cannot write stdout" in proc.stderr
+
     @BUFFERING
     def test_reader_that_closes_early_is_usage(self, unbuffered):
         # 2000 rows are far more than the pipe holds, so the writer is still

@@ -1,4 +1,4 @@
-"""Numeric lab: flat functions, bisection, geometric channels, sweeps.
+"""Numeric lab: flat functions, the flat inverses, geometric channels, sweeps.
 
 Frozen reference values in this file were produced with 60 to 700 digit
 arithmetic (mpmath) on the defining formulas; the doubles produced here
@@ -7,7 +7,10 @@ must land within the stated tolerances of them.
 
 import json
 import math
+import random
+import sys
 
+import mpmath
 import pytest
 
 from arnold_lab import numeric
@@ -26,7 +29,6 @@ from arnold_lab import (
     flatness_check,
     geometric_sample,
     log_theta,
-    make_series,
     numeric_inverse,
     sweep,
     theta,
@@ -88,58 +90,101 @@ class TestTheta:
         assert log_theta(0.0) == float("-inf")
 
 
+def _mp_flat_roots(y):
+    """(p^-1(y), q^-1(y)) to 60 digits for y > 0: q's root in closed form,
+    p's by Newton on p from it."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(y)
+        v = 2 * x / (1 + mpmath.sqrt(1 + 4 * x))
+        u = v
+        for _ in range(100):
+            th = mpmath.exp(-1 / u)
+            step = (u + u * u + th - x) / (1 + 2 * u + th / (u * u))
+            u -= step
+            if abs(step) <= u * mpmath.mpf(2) ** -190:
+                break
+        return u, v
+
+
+def _ulps(got, want):
+    return float(abs(mpmath.mpf(got) - want)) / math.ulp(float(want))
+
+
+# targets y = q(t): t log-spaced from 0.5 down to 1e-7, and t = 0.5 (1 - 2^-k)
+# crowding the top of the bracket, where a naive Newton loop swings
+# between neighbouring doubles
+FLAT_GRID = [q(0.5 * 2e-7 ** (i / 399)) for i in range(1, 400)]
+FLAT_GRID += [q(0.5 * (1 - 2.0 ** -k)) for k in range(1, 53)]
+_rng = random.Random(15)
+FLAT_RANDOM = [q(10 ** _rng.uniform(-7, math.log10(0.5))) for _ in range(300)]
+FLAT_RANDOM += [_rng.uniform(0.0, q(0.5)) for _ in range(300)]
+FLAT_RANDOM += [q(10 ** _rng.uniform(-300, -7)) for _ in range(100)]
+
+
+@pytest.fixture(scope="module")
+def mp_flat_roots():
+    return {y: _mp_flat_roots(y) for y in FLAT_GRID + FLAT_RANDOM}
+
+
 class TestNumericInverse:
-    def test_quadratic(self):
-        assert numeric_inverse(q, 2.0, (0.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity(self):
-        ident = SeriesFn(make_series([0, 1]))
-        assert numeric_inverse(ident, 0.5, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-14)
-
     def test_bracket_invalid(self):
-        with pytest.raises(BracketInvalid):
-            numeric_inverse(q, 10.0, (0.0, 1.0))
-        with pytest.raises(BracketInvalid):
-            numeric_inverse(q, 0.5, (1.0, 1.0))
+        for base in (p, q):
+            for y in (10.0, base(0.5) * (1 + 2.0 ** -52), -1e-300, float("nan")):
+                with pytest.raises(BracketInvalid):
+                    numeric_inverse(base, y)
 
-    def test_not_monotone_detected(self):
-        bump = SeriesFn(make_series([0, 1, 0, -1]))  # x - x^3
+    def test_residual_check_rejects_another_base(self):
+        # sin increases on the bracket, but the solver knows only p and q
         with pytest.raises(NotMonotone):
-            numeric_inverse(bump, -0.5, (0.0, 1.5))
+            numeric_inverse(math.sin, 0.3)
 
     def test_round_trip(self):
         for y in (0.01, 0.1, 0.3, 0.7):
-            x = numeric_inverse(p, y, (0.0, 0.5))
+            x = numeric_inverse(p, y)
             assert abs(p(x) - y) <= 1e-12 * max(1.0, abs(y))
 
-    def test_decreasing_function(self):
-        down = SeriesFn(make_series([1, -1]))  # 1 - x
-        assert numeric_inverse(down, 0.25, (0.0, 1.0)) == pytest.approx(0.75, abs=1e-12)
+    def test_within_two_ulps_of_mpmath(self, mp_flat_roots):
+        for y, (u, v) in mp_flat_roots.items():
+            assert _ulps(numeric_inverse(p, y), u) <= 2.0, y
+            assert _ulps(numeric_inverse(q, y), v) <= 2.0, y
 
-    def test_same_double_as_bisection(self):
-        ys = [1e-40 * 0.7e40 ** (i / 199) for i in range(200)]  # 1e-40 up to 0.7
-        cases = [(p, (0.0, 0.5), ys), (q, (0.0, 0.5), ys)]
-        down = SeriesFn(make_series([1, -1]))  # 1 - x, decreasing
-        cases.append((down, (0.0, 1.0), [i / 97 for i in range(98)] + [1e-30, 1 - 1e-12]))
-        for fn, bracket, targets in cases:
-            for y in targets + [fn(bracket[0]), fn(bracket[1])]:
-                assert numeric_inverse(fn, y, bracket) == bisection_inverse(fn, y, bracket), y
+    def test_closer_than_bisection_on_the_grid(self, mp_flat_roots):
+        for base, index in ((p, 0), (q, 1)):
+            worst = max(_ulps(numeric_inverse(base, y), mp_flat_roots[y][index]) for y in FLAT_GRID)
+            worst_bisection = max(_ulps(bisection_inverse(base, y, (0.0, 0.5)), mp_flat_roots[y][index])
+                                  for y in FLAT_GRID)
+            assert worst < worst_bisection, base.__name__
+
+    def test_p_root_never_above_q_root(self):
+        # a pair in the wrong order makes a flat row configuration_violated
+        for y in FLAT_GRID + FLAT_RANDOM + [0.0, 5e-324, 1e-200, 1e-3, q(0.5)]:
+            assert numeric_inverse(p, y) <= numeric_inverse(q, y), y
 
     def test_tiny_target_is_exact(self):
-        assert numeric_inverse(q, 1e-100, (0.0, 0.5)) == pytest.approx(1e-100, rel=1e-15, abs=0)
+        assert numeric_inverse(q, 1e-100) == pytest.approx(1e-100, rel=1e-15, abs=0)
 
-    def test_few_evaluations_per_flat_inverse(self):
+    def test_few_evaluations_per_flat_inverse(self, monkeypatch):
         calls = []
+        monkeypatch.setattr(numeric, "theta", lambda x: calls.append(x) or theta(x))
+        for y in FLAT_GRID + FLAT_RANDOM:
+            calls.clear()
+            numeric_inverse(p, y)
+            # p(0), p(0.5) and the residual take 3; each Newton step, and the
+            # step that stops the loop, take one more
+            assert len(calls) <= 3 + 7, y
 
-        def counting(x):
-            calls.append(x)
-            return p(x)
-
-        ts = [10 ** (-1 - 5.5 * i / 99) for i in range(100)]  # 0.1 down to 3e-7
-        for t in ts:
-            numeric_inverse(counting, q(t), (0.0, 0.5))
-        # bisection to adjacent doubles takes about 67
-        assert len(calls) / len(ts) <= 16
+    def test_edge_targets(self):
+        # x * x underflows below 1e-162: no ZeroDivisionError on the way to y itself
+        for y in (0.0, 5e-324, 1e-310, sys.float_info.min, 1e-200):
+            assert numeric_inverse(p, y) == y and numeric_inverse(q, y) == y, y
+        assert numeric_inverse(q, q(0.5)) == 0.5
+        u, _ = _mp_flat_roots(q(0.5))
+        assert _ulps(numeric_inverse(p, q(0.5)), u) <= 2.0
+        assert numeric_inverse(p, p(0.5)) == 0.5
+        with pytest.raises(BracketInvalid):
+            numeric_inverse(q, p(0.5))
+        # so the sweep's row there is unresolved
+        assert sweep(*counterexample_pair(), [p(0.5)]).rows[0].flags == ("unresolved",)
 
 
 class TestMonotoneConstruction:
@@ -268,7 +313,7 @@ class TestGeometricSampleGeneric:
         series = eval_text("tan o sin", 12)
         fn = SeriesFn(series)
         by_series = SeriesFn(compositional_inverse(series).inverse)(0.1)
-        by_bisection = numeric_inverse(fn, 0.1, (0.0, 0.5))
+        by_bisection = bisection_inverse(fn, 0.1, (0.0, 0.5))
         assert by_series == pytest.approx(by_bisection, abs=1e-10)
         # 30-digit inversion of the true function
         assert by_series == pytest.approx(0.09983440995178777, abs=1e-10)

@@ -44,7 +44,7 @@ PINS = {
         EMPTY,
     ),
     'arnold-lab counterexample --t-min 1e-6 --t-max 1e-1 --points 25': (
-        0, "4de6103907843c3a1688eb128cce563010c27e3aa5119784b104be3729191efc",
+        0, "9dcbf5ae27cc76fbe3b8e97e8efebec95b9788f0f5313d4f8267390a3d1ddd9e",
         EMPTY,
     ),
     'arnold-lab sweep --f "tan o sin" --g "sin o tan" --xs "0.3,0.2,0.1"': (
@@ -63,7 +63,7 @@ JSON_PINS = {
         EMPTY,
     ),
     'arnold-lab counterexample --t-min 1e-6 --t-max 1e-1 --points 25 --format json': (
-        0, "311a8592da8917c7cc3562cff26a7a75ad33fcea3e32c399e75bea2b53be9b98",
+        0, "7a5f30978d0256819e94b8af9b886a0bd497691e72a82cd1210d696cb318eb90",
         EMPTY,
     ),
 }
