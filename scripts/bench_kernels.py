@@ -9,7 +9,8 @@ runs.  The kernels are
   eval_text_limit_pairs    eval_text of both sides of the four limit pairs
                            the benchmark's exact_limit workload runs
   compositional_inverse    reversion of tan o sin, the production route
-  lagrange_inverse_oracle  reversion of tan o sin, the Lagrange oracle
+  lagrange_inverse_oracle  reversion of tan o sin, the Lagrange oracle: a test
+                           oracle, imported from tests/helpers.py
   series_compose           Horner compose(tan, sin), the oracle for eval
   arnold_ratio             the limit of tan o sin against sin o tan
 
@@ -30,15 +31,13 @@ import platform
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import arnold_lab
-from arnold_lab import (
-    arnold_ratio,
-    compose,
-    compositional_inverse,
-    eval_text,
-    lagrange_inverse_oracle,
-)
+from arnold_lab import arnold_ratio, compose, compositional_inverse, eval_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import lagrange_inverse_oracle  # noqa: E402  (the tests' oracle)
 
 LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"),
                ("tan o arcsin", "arcsin o tan"), ("arctan o sin", "sin o arctan"))

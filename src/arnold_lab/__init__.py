@@ -1,8 +1,8 @@
 """arnold_lab: a formal power series laboratory for the tangent-functions
 limit problem.
 
-Exact half: truncated series over rationals, reversion with a Lagrange
-oracle, elementary generators, an expression language, and the exact limit
+Exact half: truncated series over rationals, series reversion, elementary
+generators, an expression language, and the exact limit
 of (f - g)/(g_inv - f_inv).  Numeric half: double-precision geometry of
 the same picture plus the flat counterexample whose ratio tends to 1/e.
 """
@@ -46,7 +46,7 @@ from .series import (
     valuation,
     zero_series,
 )
-from .inversion import InverseWitness, compositional_inverse, lagrange_inverse_oracle
+from .inversion import InverseWitness, compositional_inverse
 from .elementary import eval_expr, eval_text
 from .expressions import (
     Compose,
@@ -58,9 +58,8 @@ from .expressions import (
     Scale,
     Sum,
     parse,
-    render,
 )
-from .limits import ArnoldReport, arnold_ratio, first_divergence_index
+from .limits import ArnoldReport, arnold_ratio
 from .numeric import (
     CSV_HEADER,
     GeometricSample,

@@ -236,53 +236,3 @@ def parse(text: str) -> FunctionExpr:
     if parser.current.kind != "end":
         raise parser.fail(("o", "+", "-", "end of input"))
     return node
-
-
-# rendering; parse(render(ast)) is structurally equal to ast for any
-# canonical tree (Scale never directly over Monomial or Scale)
-
-def _render_compose_operand(node: FunctionExpr) -> str:
-    if isinstance(node, Primitive):
-        return node.name
-    if isinstance(node, Monomial) and node.coefficient == 1:
-        return _render_monomial(node)
-    return f"({render(node)})"
-
-
-def _render_monomial(node: Monomial) -> str:
-    base = "x" if node.exponent == 1 else f"x^{node.exponent}"
-    if node.coefficient == 1:
-        return base
-    return f"{node.coefficient} * {base}"
-
-
-def _render_term(node: FunctionExpr) -> str:
-    if isinstance(node, (Sum, Difference)):
-        return f"({render(node)})"
-    return render(node)
-
-
-def render(ast: FunctionExpr) -> str:
-    """Canonical text for an AST."""
-    if isinstance(ast, Primitive):
-        return ast.name
-    if isinstance(ast, Monomial):
-        return _render_monomial(ast)
-    if isinstance(ast, Sum):
-        return f"{render(ast.left)} + {_render_term(ast.right)}"
-    if isinstance(ast, Difference):
-        return f"{render(ast.left)} - {_render_term(ast.right)}"
-    if isinstance(ast, Scale):
-        if isinstance(ast.child, Primitive):
-            child = ast.child.name
-        else:
-            child = f"({render(ast.child)})"
-        return f"{ast.coefficient} * {child}"
-    if isinstance(ast, Compose):
-        left = _render_compose_operand(ast.outer)
-        if isinstance(ast.inner, Compose):
-            right = render(ast.inner)
-        else:
-            right = _render_compose_operand(ast.inner)
-        return f"{left} o {right}"
-    raise TypeError(f"not a FunctionExpr node: {ast!r}")

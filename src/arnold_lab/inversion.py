@@ -1,10 +1,9 @@
 """Series reversion: the compositional inverse of f = a1 x + a2 x^2 + ...
 
-Two independent routes are provided.  compositional_inverse solves the
-triangular system read off from f(inverse(x)) = x one coefficient at a
-time, over integers after a Hurwitz rescaling; lagrange_inverse_oracle
-assembles the same series from the Lagrange inversion formula and Miller's
-powers.  They must agree exactly, and the test suite holds them to that.
+compositional_inverse solves the triangular system read off from
+f(inverse(x)) = x one coefficient at a time, over integers after a Hurwitz
+rescaling.  The test suite holds it exactly equal to an independent route,
+the Lagrange inversion formula with Miller's powers (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -13,14 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import NotInvertible, Record
-from .series import (
-    Rational,
-    TruncatedSeries,
-    pow_binomial,
-    rational_to_json,
-    scale,
-    series_to_json,
-)
+from .series import Rational, TruncatedSeries, rational_to_json, series_to_json
 
 
 class InverseWitness(Record):
@@ -94,19 +86,3 @@ def compositional_inverse(f: TruncatedSeries) -> InverseWitness:
     inverse = TruncatedSeries(tuple(b))
     residuals = tuple(b[n] + a[n] / a1 ** (n + 1) for n in range(2, order + 1))
     return InverseWitness(inverse=inverse, residuals=residuals)
-
-
-def lagrange_inverse_oracle(f: TruncatedSeries) -> TruncatedSeries:
-    """Reversion via Lagrange's formula: b_n = (1/n) [x^(n-1)] (x/f)^n.
-
-    Independent of the triangular solve above; used to cross-check it.
-    """
-    a1 = _check_invertible(f)
-    order = f.order
-    # h = f/x normalized to constant term 1, so (x/f)^n = a1^-n * h^-n
-    h_norm = scale(TruncatedSeries(f.coefficients[1:]), 1 / a1)
-    b = [Fraction(0), 1 / a1]
-    for n in range(2, order + 1):
-        powered = pow_binomial(h_norm.truncate(n - 1), -n)
-        b.append(powered.coefficients[n - 1] / (n * a1**n))
-    return TruncatedSeries(tuple(b))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from .errors import (
     ConditionViolated,
     IndistinguishableToOrder,
-    InvalidInput,
     Record,
     UnresolvedAtOrder,
 )
@@ -44,14 +43,6 @@ class ArnoldReport(Record):
         }
 
 
-def first_divergence_index(f: TruncatedSeries, g: TruncatedSeries) -> int | FlatToOrder:
-    """Smallest index where f and g differ, or FlatToOrder when they agree
-    on every coefficient through their order."""
-    if f.order != g.order:
-        raise InvalidInput("first_divergence_index expects series of equal order")
-    return valuation(sub(f, g))
-
-
 def _require_tangent(label: str, s: TruncatedSeries) -> None:
     if s.coefficients[0] != 0:
         raise ConditionViolated(f"{label}(0) must be 0, got {s.coefficients[0]}")
@@ -72,7 +63,7 @@ def arnold_ratio(f: TruncatedSeries, g: TruncatedSeries) -> ArnoldReport:
     f = f.truncate(order)
     g = g.truncate(order)
 
-    index = first_divergence_index(f, g)
+    index = valuation(sub(f, g))  # the first index where f and g differ
     if isinstance(index, FlatToOrder):
         raise IndistinguishableToOrder(
             f"series agree through order {order}; the ratio needs distinct inputs"

@@ -104,16 +104,14 @@ class SeriesFn:
 
 
 class InverseFn:
-    """base^(-1) for base p or q, solved by numeric_inverse on FLAT_BRACKET."""
+    """base^(-1) for base p or q: a label and an inverse, never evaluated;
+    geometric_sample solves the flat pair's roots itself, by numeric_inverse."""
 
     bracket = FLAT_BRACKET
 
     def __init__(self, base: Callable[[float], float]):
         self.base = base
         self.label = f"inverse({base.__name__})"
-
-    def __call__(self, y: float) -> float:
-        return numeric_inverse(self.base, y)
 
     def inverse(self) -> Callable[[float], float]:
         return self.base
@@ -185,13 +183,11 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + ",%s\n"
 _csv_cells = attrgetter(*CSV_COLUMNS)
 
 
-def _counterexample_sample(
-    x: float, u: float, v: float, flags: list[str]
-) -> GeometricSample:
+def _counterexample_sample(x: float) -> GeometricSample:
     """Log-channel evaluation for the pair f = p_inv, g = q_inv.
 
     Structure gives exact identities that bypass catastrophic subtraction:
-    with u = p_inv(x), v = t = q_inv(x) already evaluated by the caller:
+    with u = p_inv(x) and v = t = q_inv(x), solved here by numeric_inverse,
 
         BC  = |x - p(t)|  = theta(t)          (because q(t) = x)
         ED  = |p(x) - q(x)| = theta(x)
@@ -200,20 +196,23 @@ def _counterexample_sample(
         FDp = BC                              (F convention)
         BC/ED = exp(-1/(1 + v))   AB/BC = exp(-log1p(u + v) - AB/(u v))
 
-    Where -1/u, -1/v or -1/x is not finite (x = 0, or a subnormal root)
-    no channel survives in doubles, and the row comes back "unresolved".
+    AB > 0 makes every row "mirrored", f(x) = u < v = g(x) < x, even where
+    u and v are the same double.  Where -1/u, -1/v or -1/x is not finite
+    (x = 0, or a subnormal root) no channel survives in doubles, and the
+    row comes back "unresolved".
     """
+    u, v = numeric_inverse(p, x), numeric_inverse(q, x)
     log_u, log_bc, log_ed = log_theta(u), log_theta(v), log_theta(x)
     if not all(map(math.isfinite, (log_u, log_bc, log_ed))):
         return _flagged_row(x, "unresolved")
     ab, bc, ed = (_exp(c) for c in (log_u - math.log1p(u + v), log_bc, log_ed))
-    if 0.0 in (ab, bc, ed):  # a finite channel underflowed
-        flags.append("logspace")
+    # "logspace" where a finite channel underflowed; constant tuples, shared by every row
+    flags = ("mirrored", "logspace") if 0.0 in (ab, bc, ed) else ("mirrored",)
     # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
     ratio_ab_bc = _exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0))
     log_ratio = 2.0 * math.log(x) - log_bc  # log(DDp / FDp), FDp = BC
     return GeometricSample(x, ab, bc, ed, x * x, bc, ratio_ab_bc, counterexample_ratio(v),
-                           _exp(log_ratio), log_ratio, tuple(flags))
+                           _exp(log_ratio), log_ratio, flags)
 
 
 def geometric_sample(
@@ -221,14 +220,21 @@ def geometric_sample(
 ) -> GeometricSample:
     """All lengths and ratios of the picture at abscissa x.
 
-    Valid configurations, with f(x) and g(x) finite: f(x) = g(x) as doubles
-    (ratios indeterminate), or f(x) and g(x) on the same side of the
-    diagonal with g strictly off it: the f > g > id picture and its mirror
-    image f < g < id, where the counterexample pair lives.  A pair whose
-    inverses are p and q is that pair, and its lengths come from log-space
-    identities.  Any other pair subtracts doubles near x; a row whose
-    smallest gap is under GAP_FLOOR_ULPS ulps of x comes back "unresolved".
+    The inverses choose the route before any double is compared: a pair
+    whose inverses are p and q is the flat pair, whose lengths come from
+    log-space identities, and every such row is "mirrored".  Any other pair
+    is evaluated in doubles.  Its valid configurations, with f(x) and g(x)
+    finite, are f(x) = g(x) as doubles (ratios indeterminate), or f(x) and
+    g(x) on the same side of the diagonal with g strictly off it: the
+    f > g > id picture and its mirror image f < g < id.  Its lengths are
+    differences of doubles near x; a row whose smallest gap is under
+    GAP_FLOOR_ULPS ulps of x comes back "unresolved".
     """
+    f_inv = f.inverse()
+    g_inv = g.inverse()
+    if f_inv is p and g_inv is q:
+        return _counterexample_sample(x)
+
     fx = f(x)
     gx = g(x)
     if not (math.isfinite(fx) and math.isfinite(gx)):
@@ -244,11 +250,6 @@ def geometric_sample(
             )
         if fx < gx:
             flags.append("mirrored")
-
-    f_inv = f.inverse()
-    g_inv = g.inverse()
-    if f_inv is p and g_inv is q:
-        return _counterexample_sample(x, fx, gx, flags)
 
     ab = abs(fx - gx)
     bc = abs(x - f_inv(gx))
@@ -276,6 +277,13 @@ def counterexample_ratio(t: float, side: str = "right") -> float:
     = -1/t + 1/(t + t^2), which telescopes exactly to -1/(1 + t); using the
     telescoped form avoids cancellation between two huge logs, so the
     value is accurate down to t = 1e-12 and visibly converges to 1/e.
+
+    It is within 0.4 t + 2.5 ulp(1/e) of 1/e for 0 < t <= 0.5, where
+    ulp(1/e) = 2^-54 and exp errs by under an ulp: the exact value is within
+    t/e of 1/e; rounding 1 + t and 1/(1 + t) moves exp's argument by at most
+    3 * 2^-54, worth 1.5 ulp(1/e) while the value is below 1/2 (t < 0.44;
+    above, (0.4 - 1/e) t dwarfs any rounding); exp adds one ulp.
+
     For side="left" the same reduction at -t gives +1/(1 - t), which tends
     to e instead; it is computed on request and no limit is asserted.
     """

@@ -1,4 +1,5 @@
-"""Seeded corpus generators shared by unit and acceptance tests."""
+"""Seeded corpus generators shared by unit and acceptance tests, and the
+oracles the tests hold the production routes to."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from arnold_lab import (
     identity_series,
     make_series,
     monomial_series,
+    pow_binomial,
     scale,
     sub,
     valuation,
@@ -30,6 +32,7 @@ from arnold_lab.expressions import (
     Scale,
     Sum,
 )
+from arnold_lab.inversion import _check_invertible
 from arnold_lab.numeric import FLAT_BRACKET
 
 
@@ -135,6 +138,72 @@ def horner_eval_expr(ast: FunctionExpr, order: int) -> TruncatedSeries:
         outer = horner_eval_expr(ast.outer, order)
         inner = horner_eval_expr(ast.inner, order)
         return compose(outer, inner)
+    raise TypeError(f"not a FunctionExpr node: {ast!r}")
+
+
+def lagrange_inverse_oracle(f: TruncatedSeries) -> TruncatedSeries:
+    """Reversion via Lagrange's formula: b_n = (1/n) [x^(n-1)] (x/f)^n.
+
+    The oracle for compositional_inverse: independent of its triangular solve.
+    """
+    a1 = _check_invertible(f)
+    order = f.order
+    # h = f/x normalized to constant term 1, so (x/f)^n = a1^-n * h^-n
+    h_norm = scale(TruncatedSeries(f.coefficients[1:]), 1 / a1)
+    b = [Fraction(0), 1 / a1]
+    for n in range(2, order + 1):
+        powered = pow_binomial(h_norm.truncate(n - 1), -n)
+        b.append(powered.coefficients[n - 1] / (n * a1**n))
+    return TruncatedSeries(tuple(b))
+
+
+# rendering; parse(render(ast)) is structurally equal to ast for any
+# canonical tree (Scale never directly over Monomial or Scale)
+
+def _render_compose_operand(node: FunctionExpr) -> str:
+    if isinstance(node, Primitive):
+        return node.name
+    if isinstance(node, Monomial) and node.coefficient == 1:
+        return _render_monomial(node)
+    return f"({render(node)})"
+
+
+def _render_monomial(node: Monomial) -> str:
+    base = "x" if node.exponent == 1 else f"x^{node.exponent}"
+    if node.coefficient == 1:
+        return base
+    return f"{node.coefficient} * {base}"
+
+
+def _render_term(node: FunctionExpr) -> str:
+    if isinstance(node, (Sum, Difference)):
+        return f"({render(node)})"
+    return render(node)
+
+
+def render(ast: FunctionExpr) -> str:
+    """Canonical text for an AST: the oracle for parse, which must read it back."""
+    if isinstance(ast, Primitive):
+        return ast.name
+    if isinstance(ast, Monomial):
+        return _render_monomial(ast)
+    if isinstance(ast, Sum):
+        return f"{render(ast.left)} + {_render_term(ast.right)}"
+    if isinstance(ast, Difference):
+        return f"{render(ast.left)} - {_render_term(ast.right)}"
+    if isinstance(ast, Scale):
+        if isinstance(ast.child, Primitive):
+            child = ast.child.name
+        else:
+            child = f"({render(ast.child)})"
+        return f"{ast.coefficient} * {child}"
+    if isinstance(ast, Compose):
+        left = _render_compose_operand(ast.outer)
+        if isinstance(ast.inner, Compose):
+            right = render(ast.inner)
+        else:
+            right = _render_compose_operand(ast.inner)
+        return f"{left} o {right}"
     raise TypeError(f"not a FunctionExpr node: {ast!r}")
 
 

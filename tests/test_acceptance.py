@@ -27,13 +27,17 @@ from arnold_lab import (
     flatness_check,
     geometric_sample,
     identity_series,
-    lagrange_inverse_oracle,
     make_series,
     parse,
-    render,
     sweep,
 )
-from helpers import random_ast, random_invertible_series, random_tangent_pair
+from helpers import (
+    lagrange_inverse_oracle,
+    random_ast,
+    random_invertible_series,
+    random_tangent_pair,
+    render,
+)
 
 E_INV = 0.36787944117144233
 

@@ -273,7 +273,21 @@ class TestCounterexample:
         last = proc.stdout.strip().split("\n")[-1].split(",")
         # log(DDp/FDp) = 2 log x + 1/t
         assert float(last[8]) == pytest.approx(1 / 2.2250738585072014e-308, rel=1e-12)
-        assert last[9] == "logspace"
+        assert last[9] == "mirrored;logspace"
+
+    @pytest.mark.parametrize("t_range", [
+        ("1e-6", "1e-1", "25"),  # the README example
+        ("2.2250738585072014e-308", "1e-300", "4"),
+        ("1e-20", "0.02", "7"),  # both roots are the same double on every row
+    ])
+    def test_every_row_is_mirrored(self, t_range):
+        # f(x) = u < v = g(x) < x, since v - u = theta(u) / (1 + u + v) > 0
+        t_min, t_max, points = t_range
+        proc = run_cli("counterexample", "--t-min", t_min, "--t-max", t_max, "--points", points)
+        assert proc.returncode == 0
+        rows = proc.stdout.strip().split("\n")[1:]
+        assert len(rows) == int(points)
+        assert all(row.split(",")[9].split(";")[0] == "mirrored" for row in rows), rows
 
 
 class TestSweep:
@@ -308,6 +322,15 @@ class TestSweep:
         )
         assert proc.returncode == 5
         assert "configuration_violated" in proc.stdout
+
+    def test_non_invertible_pair_is_domain_error(self):
+        # x^2 has no compositional inverse; that is found before any row is
+        # compared, so the exit code does not depend on the grid
+        for xs in ("0.2,0.1", "0.9,0.8"):
+            proc = run_cli("sweep", "--f", "x^2", "--g", "x^3", "--xs", xs)
+            assert proc.returncode == 3, xs
+            assert proc.stdout == ""
+            assert "no compositional inverse" in proc.stderr
 
     def test_overflowing_rows_are_violated(self):
         # both series overflow to inf there, and inf == inf must not read as f(x) = g(x)

@@ -16,9 +16,8 @@ from arnold_lab.expressions import (
     Scale,
     Sum,
     parse,
-    render,
 )
-from helpers import random_ast
+from helpers import random_ast, render
 
 
 class TestParseExamples:

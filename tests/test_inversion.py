@@ -13,11 +13,10 @@ from arnold_lab import (
     compositional_inverse,
     eval_text,
     identity_series,
-    lagrange_inverse_oracle,
     make_series,
 )
 from arnold_lab import series
-from helpers import random_invertible_series, random_rational
+from helpers import lagrange_inverse_oracle, random_invertible_series, random_rational
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 

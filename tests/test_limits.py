@@ -11,7 +11,6 @@ from arnold_lab import (
     ConditionViolated,
     FlatToOrder,
     IndistinguishableToOrder,
-    InvalidInput,
     UnresolvedAtOrder,
     compositional_inverse,
     eval_text,
@@ -19,26 +18,27 @@ from arnold_lab import (
     sub,
     valuation,
 )
-from arnold_lab.limits import ArnoldReport, arnold_ratio, first_divergence_index
+from arnold_lab.limits import ArnoldReport, arnold_ratio
 from helpers import random_tangent_pair
 
 
 class TestFirstDivergence:
+    """N, the first index where f and g differ, as arnold_ratio reports it."""
+
     def test_direct(self):
-        assert first_divergence_index(make_series([0, 1, 1, 0]), make_series([0, 1, 0, 1])) == 2
+        assert arnold_ratio(make_series([0, 1, 1, 0]), make_series([0, 1, 0, 1])).N == 2
 
     def test_headline(self):
         f = eval_text("tan o sin", 12)
         g = eval_text("sin o tan", 12)
-        assert first_divergence_index(f, g) == 7
+        assert arnold_ratio(f, g).N == 7
+        assert valuation(sub(f, g)) == 7
 
     def test_indistinguishable(self):
         s = eval_text("sin", 8)
-        assert first_divergence_index(s, s) == FlatToOrder(8)
-
-    def test_requires_equal_orders(self):
-        with pytest.raises(InvalidInput):
-            first_divergence_index(make_series([0, 1]), make_series([0, 1, 0]))
+        assert valuation(sub(s, s)) == FlatToOrder(8)
+        with pytest.raises(IndistinguishableToOrder, match="through order 8"):
+            arnold_ratio(s, s)
 
 
 class TestArnoldRatio:

@@ -208,6 +208,8 @@ class TestMonotoneConstruction:
         f, g = counterexample_pair()
         assert calls == []
         assert f.inverse() is numeric.p and g.inverse() is numeric.q
+        # InverseFn only names the inverses; the flat provider solves the roots
+        assert not callable(f) and not callable(g)
 
 
 class TestCounterexampleChannels:
@@ -224,13 +226,17 @@ class TestCounterexampleChannels:
         s = geometric_sample(self.f, self.g, 0.01)
         assert s.ratio_AB_BC == pytest.approx(0.980580675691, rel=1e-9)
         assert s.ratio_BC_ED == pytest.approx(0.371504190134, rel=1e-9)
+        # u and v are the same double here; v - u = theta(u) / (1 + u + v) > 0 still
+        # puts the row in the mirrored picture
+        assert numeric_inverse(p, 0.01) == numeric_inverse(q, 0.01)
+        assert s.flags == ("mirrored",)
 
     def test_deep_x_needs_log_space(self):
         s = geometric_sample(self.f, self.g, 0.001)
         assert s.ratio_AB_BC == pytest.approx(0.99800598007, rel=1e-9)
         assert s.ratio_BC_ED == pytest.approx(0.368246769955, rel=1e-9)
         assert s.AB == 0.0 and s.BC == 0.0 and s.ED == 0.0
-        assert "logspace" in s.flags
+        assert s.flags == ("mirrored", "logspace")
 
     def test_channel_identities(self):
         s = geometric_sample(self.f, self.g, 0.11)
@@ -255,6 +261,18 @@ class TestCounterexampleChannels:
         table = counterexample_sweep(ts)
         for t, row in zip(ts, table.rows):
             assert abs(row.ratio_BC_ED - E_INV) <= 0.4 * t, t
+
+    def test_bc_ed_bound_against_exact_inverse_e(self):
+        # |ratio - 1/e| <= 0.4 t + 2.5 ulp(1/e), as derived in counterexample_ratio,
+        # from the top of the bracket down to the smallest normal t
+        with mpmath.workdps(50):
+            e_inv = mpmath.exp(-1)
+        ulp = 2.0 ** -54
+        assert math.ulp(E_INV) == ulp
+        ts = {0.5 * (sys.float_info.min / 0.5) ** (k / 599) for k in range(599)}
+        ts = sorted(ts | {sys.float_info.min, 1e-20}, reverse=True)  # 1e-20: the double nearest 1/e
+        for t, row in zip(ts, counterexample_sweep(ts).rows):
+            assert abs(mpmath.mpf(row.ratio_BC_ED) - e_inv) <= 0.4 * t + 2.5 * ulp, t
 
     def test_tiny_t_log_ratio(self):
         row = counterexample_sweep([1e-100]).rows[0]
@@ -421,7 +439,7 @@ class TestSweep:
             row = sweep(f, g, xs).rows[0]
             assert row.flags == ("unresolved",)
             assert math.isnan(row.ratio_BC_ED) and math.isnan(row.log_ratio_DDp_FDp)
-        assert sweep(f, g, [3e-308]).rows[0].flags == ("logspace",)
+        assert sweep(f, g, [3e-308]).rows[0].flags == ("mirrored", "logspace")
 
     def test_all_rows_flagged(self):
         f = SeriesFn(eval_text("x + x^2", 6))
@@ -437,7 +455,7 @@ class TestSweep:
         assert len(lines) == 3
         deep = lines[2].split(",")
         assert deep[1] == "0" and deep[2] == "0"  # underflowed raws print as 0
-        assert deep[9] == "logspace"
+        assert deep[9] == "mirrored;logspace"
 
     def test_json_mirror(self):
         table = counterexample_sweep([0.1])

@@ -44,7 +44,7 @@ PINS = {
         EMPTY,
     ),
     'arnold-lab counterexample --t-min 1e-6 --t-max 1e-1 --points 25': (
-        0, "9dcbf5ae27cc76fbe3b8e97e8efebec95b9788f0f5313d4f8267390a3d1ddd9e",
+        0, "05bc460ba51f068234ea486f1db4c99e87b336d498a983ba1a35c06cebb6acf7",
         EMPTY,
     ),
     'arnold-lab sweep --f "tan o sin" --g "sin o tan" --xs "0.3,0.2,0.1"': (
@@ -63,7 +63,7 @@ JSON_PINS = {
         EMPTY,
     ),
     'arnold-lab counterexample --t-min 1e-6 --t-max 1e-1 --points 25 --format json': (
-        0, "7a5f30978d0256819e94b8af9b886a0bd497691e72a82cd1210d696cb318eb90",
+        0, "ba40fbee969f0ea7b2dc0d9c315402b7b0dc397f1d5c49986f1f7056f04a83b6",
         EMPTY,
     ),
 }
