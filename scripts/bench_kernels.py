@@ -19,8 +19,10 @@ per kernel the slope of the least-squares line through
 (log order, log time): the scaling exponent.  A table goes to stdout.
 
 FILE also gets "startup": the median CPU time (user + system, from
-os.wait4) of 11 fresh `python -c pass` and `python -c "import arnold_lab"`
-processes, run alternately after one unrecorded run of each.
+os.wait4) of 11 fresh `python -c pass`, `python -c "import arnold_lab"` and
+`python -c "import arnold_lab.cli"` processes, run alternately after one
+unrecorded run of each.  The package imports no module of its own, so the
+last is the start-up every subcommand pays before it runs.
 """
 
 import argparse
@@ -34,7 +36,10 @@ import time
 from pathlib import Path
 
 import arnold_lab
-from arnold_lab import arnold_ratio, compose, compositional_inverse, eval_text
+from arnold_lab.elementary import eval_text
+from arnold_lab.inversion import compositional_inverse
+from arnold_lab.limits import arnold_ratio
+from arnold_lab.series import compose
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from helpers import lagrange_inverse_oracle  # noqa: E402  (the tests' oracle)
@@ -92,11 +97,12 @@ def child_cpu_seconds(code: str, env: dict) -> float:
 
 
 def startup() -> dict:
-    """Median CPU seconds of a bare interpreter and of one importing arnold_lab."""
+    """Median CPU seconds of a bare interpreter and of ones importing arnold_lab."""
     src = os.path.dirname(os.path.dirname(arnold_lab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab"}
+    codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab",
+             "import_arnold_lab_cli_s": "import arnold_lab.cli"}
     times: dict[str, list[float]] = {name: [] for name in codes}
     for run in range(STARTUP_RUNS + 1):
         for name, code in codes.items():
@@ -153,7 +159,8 @@ def main() -> None:
         print(f"{name:<26}{cells}  {entry['exponent']:.2f}")
     start = result["startup"]
     print(f"startup: python -c pass {1e3 * start['python_pass_s']:.1f}ms, "
-          f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms")
+          f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms, "
+          f"import arnold_lab.cli {1e3 * start['import_arnold_lab_cli_s']:.1f}ms")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,10 @@ Prints three short reports:
 
 import argparse
 
-from arnold_lab import (
-    arnold_ratio,
-    compositional_inverse,
-    counterexample_ratio,
-    counterexample_sweep,
-    eval_text,
-    flatness_check,
-)
+from arnold_lab.elementary import eval_text
+from arnold_lab.inversion import compositional_inverse
+from arnold_lab.limits import arnold_ratio
+from arnold_lab.numeric import counterexample_ratio, counterexample_sweep, flatness_check
 
 E_INV = 0.36787944117144233
 

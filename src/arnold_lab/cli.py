@@ -8,19 +8,14 @@ result (a sweep where no row could be computed).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
+# each subcommand imports the rest of what it runs, so counterexample
+# loads none of the exact side
 from . import numeric
-from .elementary import eval_expr
-from .errors import ArnoldLabError, InvalidInput
-from .expressions import ParseError, parse
-from .inversion import compositional_inverse
-from .limits import arnold_ratio
-from .series import series_from_json, series_to_json
-from .numeric import SeriesFn, sweep, thread_cap
+from .errors import ArnoldLabError, InvalidInput, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -104,8 +99,10 @@ def _emit(pieces, out_path: str | None = None) -> None:
 
 
 def _series_text(series) -> str:
+    from .series import rational_text
+
     lines = [f"order {series.order}"]
-    lines += [f"x^{k}: {c}" for k, c in enumerate(series.coefficients)]
+    lines += [f"x^{k}: {rational_text(c)}" for k, c in enumerate(series.coefficients)]
     return "\n".join(lines)
 
 
@@ -126,20 +123,42 @@ def _falling(xs: list[float], lo: float, hi: float, points: int) -> None:
                      "use fewer points or a wider range")
 
 
+def _expand(text: str, order: int):
+    """The series of an expression, its order checked after the parse."""
+    from .elementary import eval_expr
+    from .expressions import parse
+
+    return eval_expr(parse(text), _order(order))
+
+
 def _cmd_eval(args) -> int:
-    series = eval_expr(parse(args.expr), _order(args.order))
+    import json
+
+    from .series import series_to_json
+
+    series = _expand(args.expr, args.order)
     text = json.dumps(series_to_json(series)) if args.format == "json" else _series_text(series)
     _emit([text + "\n"])
     return EXIT_OK
 
 
 def _cmd_invert(args) -> int:
+    import json
+
+    from .inversion import compositional_inverse
+    from .series import series_from_json
+
     if args.expr is not None:
         if args.order is None:
             raise _Usage("--order is required with --expr")
-        series = eval_expr(parse(args.expr), _order(args.order))
+        series = _expand(args.expr, args.order)
     else:
-        series = series_from_json(_load_json(args.series_json))
+        try:
+            obj = json.loads(args.series_json)
+        # JSONDecodeError, an integer past int_max_str_digits, or nesting past the stack
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInput(f"malformed JSON: {exc}") from exc
+        series = series_from_json(obj)
         if args.order is not None:
             if args.order > series.order:
                 raise _Usage(
@@ -152,10 +171,12 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_limit(args) -> int:
+    import json
+
+    from .limits import arnold_ratio
+
     order = _order(args.order)
-    f = eval_expr(parse(args.f), order)
-    g = eval_expr(parse(args.g), order)
-    report = arnold_ratio(f, g)
+    report = arnold_ratio(_expand(args.f, order), _expand(args.g, order))
     _emit([json.dumps(report.to_json_dict()) + "\n"])
     return EXIT_OK
 
@@ -170,15 +191,15 @@ def _cmd_counterexample(args) -> int:
         raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")
     xs = [numeric.q(t) for t in _log_spaced(t_min, t_max, points)]
     _falling(xs, t_min, t_max, points)
-    table = sweep(*numeric.counterexample_pair(), xs)
+    table = numeric.sweep(*numeric.counterexample_pair(), xs)
     _emit(table.pieces(args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     order = _order(args.order)
-    f = SeriesFn(eval_expr(parse(args.f), order))
-    g = SeriesFn(eval_expr(parse(args.g), order))
+    f = numeric.SeriesFn(_expand(args.f, order))
+    g = numeric.SeriesFn(_expand(args.g, order))
     if args.xs is not None:
         try:
             xs = [float(part) for part in args.xs.split(",") if part.strip()]
@@ -195,7 +216,7 @@ def _cmd_sweep(args) -> int:
             raise _Usage("need 0 < --x-min < --x-max < inf")
         xs = _log_spaced(args.x_min, args.x_max, args.points)
         _falling(xs, args.x_min, args.x_max, args.points)
-    table = sweep(f, g, xs)
+    table = numeric.sweep(f, g, xs)
     _emit(table.pieces(args.format), args.out)
     if all("configuration_violated" in r.flags or "unresolved" in r.flags for r in table.rows):
         return EXIT_EMPTY
@@ -218,13 +239,6 @@ def _order(value: int) -> int:
     return _count(value, "--order", MAX_ORDER)
 
 
-def _load_json(text: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
-        raise InvalidInput(f"malformed JSON: {exc}") from exc
-
-
 _COMMANDS = {
     "eval": _cmd_eval,
     "invert": _cmd_invert,
@@ -238,7 +252,7 @@ def console_main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         try:
-            thread_cap(1)  # fail fast on a malformed ARNOLD_LAB_THREADS
+            numeric.thread_cap(1)  # fail fast on a malformed ARNOLD_LAB_THREADS
         except InvalidInput as exc:
             raise _Usage(str(exc)) from None
         return _COMMANDS[args.command](args)

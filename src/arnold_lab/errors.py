@@ -76,6 +76,24 @@ class InvalidInput(ArnoldLabError):
     """A structurally invalid argument (empty coefficient list, bad range...)."""
 
 
+class ParseError(ArnoldLabError):
+    """Malformed expression text.
+
+    offset is 1-based into the UTF-8 byte encoding of the input; expected
+    lists the token kinds that would have been legal at that point.
+    """
+
+    def __init__(self, offset: int, expected: tuple[str, ...], found: str):
+        self.offset = offset
+        self.expected = expected
+        self.found = found
+        wanted = " or ".join(expected)
+        super().__init__(f"at offset {offset}: expected {wanted}, found {found}")
+
+    def to_json_dict(self) -> dict:
+        return {"offset": self.offset, "expected": list(self.expected)}
+
+
 class CompositionDomain(ArnoldLabError):
     """Composition requires the inner series to have zero constant term."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ArnoldLabError, Record
+from .errors import ParseError, Record
 
 # AST nodes: Rational coefficients, positive int exponents, FunctionExpr children
 
@@ -48,24 +48,6 @@ class Compose(Record):
 
 
 FunctionExpr = Primitive | Monomial | Sum | Difference | Scale | Compose
-
-
-class ParseError(ArnoldLabError):
-    """Malformed expression text.
-
-    offset is 1-based into the UTF-8 byte encoding of the input; expected
-    lists the token kinds that would have been legal at that point.
-    """
-
-    def __init__(self, offset: int, expected: tuple[str, ...], found: str):
-        self.offset = offset
-        self.expected = expected
-        self.found = found
-        wanted = " or ".join(expected)
-        super().__init__(f"at offset {offset}: expected {wanted}, found {found}")
-
-    def to_json_dict(self) -> dict:
-        return {"offset": self.offset, "expected": list(self.expected)}
 
 
 # tokenizer: the group that matches a lexeme names its kind, and a word is a

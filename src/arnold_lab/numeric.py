@@ -22,8 +22,6 @@ from .errors import (
     NotMonotone,
     Record,
 )
-from .inversion import compositional_inverse
-from .series import TruncatedSeries
 
 NAN = float("nan")
 
@@ -74,7 +72,7 @@ def p(x: float) -> float:
 
 
 class SeriesFn:
-    """Evaluate a truncated series in double precision (Horner).
+    """Evaluate a series.TruncatedSeries in double precision (Horner).
 
     Its inverse is the exact reversion, built once and evaluated the same
     way.  bracket is None: the sweep metadata then names no bracket.
@@ -82,7 +80,7 @@ class SeriesFn:
 
     bracket = None
 
-    def __init__(self, series: TruncatedSeries):
+    def __init__(self, series):
         self.series = series
         self.label = f"series(order={series.order})"
         try:
@@ -99,6 +97,8 @@ class SeriesFn:
 
     def inverse(self) -> "SeriesFn":
         if self._inverse is None:
+            from .inversion import compositional_inverse  # only a series pair loads the exact side
+
             self._inverse = SeriesFn(compositional_inverse(self.series).inverse)
         return self._inverse
 

@@ -214,8 +214,26 @@ def valuation(s: TruncatedSeries) -> int | FlatToOrder:
 # JSON encoding: rationals as decimal strings so arbitrary precision
 # survives serialization in every consumer.
 
+def decimal_text(n: int) -> str:
+    """str(n) at any length: sys.int_max_str_digits guards parsing input,
+    so an int longer than that is split near half its digits, each half
+    printed the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the digits; log10(2) > 0.3
+        high, low = divmod(abs(n), 10 ** half)
+        return "-" * (n < 0) + decimal_text(high) + decimal_text(low).zfill(half)
+
+
+def rational_text(r: Rational) -> str:
+    """str(r) at any length."""
+    num = decimal_text(r.numerator)
+    return num if r.denominator == 1 else f"{num}/{decimal_text(r.denominator)}"
+
+
 def rational_to_json(r: Rational) -> dict:
-    return {"num": str(r.numerator), "den": str(r.denominator)}
+    return {"num": decimal_text(r.numerator), "den": decimal_text(r.denominator)}
 
 
 def _json_int(value: object) -> int:

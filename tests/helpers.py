@@ -7,22 +7,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from arnold_lab import (
-    FlatToOrder,
-    NotMonotone,
-    TruncatedSeries,
-    UnknownFunction,
-    add,
-    compose,
-    divide,
-    identity_series,
-    make_series,
-    monomial_series,
-    pow_binomial,
-    scale,
-    sub,
-    valuation,
-)
+from arnold_lab.errors import NotMonotone, UnknownFunction
 from arnold_lab.expressions import (
     Compose,
     Difference,
@@ -34,6 +19,20 @@ from arnold_lab.expressions import (
 )
 from arnold_lab.inversion import _check_invertible
 from arnold_lab.numeric import FLAT_BRACKET
+from arnold_lab.series import (
+    FlatToOrder,
+    TruncatedSeries,
+    add,
+    compose,
+    divide,
+    identity_series,
+    make_series,
+    monomial_series,
+    pow_binomial,
+    scale,
+    sub,
+    valuation,
+)
 
 
 def check_increasing(fn) -> None:

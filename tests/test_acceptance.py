@@ -15,22 +15,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from arnold_lab import (
-    ParseError,
+from arnold_lab.elementary import eval_text
+from arnold_lab.errors import ParseError
+from arnold_lab.expressions import parse
+from arnold_lab.inversion import compositional_inverse
+from arnold_lab.limits import arnold_ratio
+from arnold_lab.numeric import (
     SeriesFn,
-    arnold_ratio,
-    compose,
-    compositional_inverse,
     counterexample_pair,
     counterexample_ratio,
-    eval_text,
     flatness_check,
     geometric_sample,
-    identity_series,
-    make_series,
-    parse,
     sweep,
 )
+from arnold_lab.series import compose, identity_series, make_series
 from helpers import (
     lagrange_inverse_oracle,
     random_ast,

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line front end via subprocess."""
 
 import contextlib
+import decimal
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -71,6 +73,27 @@ class TestEval:
         proc = run_cli("eval", "--expr", "x")
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_digits_past_int_max_str_digits(self, fmt):
+        # 1559! has 4303 digits, past the 4300 that str() converts by default
+        proc = run_cli("eval", "--expr", "sin", "--order", "1559", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        digits = str(decimal.Decimal(math.factorial(1559)))  # Decimal(int) has no digit limit
+        assert len(digits) == 4303
+        if fmt == "json":
+            assert json.loads(proc.stdout)["coefficients"][-1] == {"num": "-1", "den": digits}
+        else:
+            assert proc.stdout.endswith(f"\nx^1559: -1/{digits}\n")
+
+    def test_digits_past_int_max_str_digits_are_not_read_back(self):
+        # the limit still guards input: the last coefficient printed above is refused
+        digits = str(decimal.Decimal(math.factorial(1559)))
+        for den in (f'"{digits}"', digits):
+            blob = '{"order": 1, "coefficients": [{"num": 0, "den": 1}, {"num": 1, "den": %s}]}'
+            proc = run_cli("invert", "--series-json", blob % den)
+            assert proc.returncode == 3, den[:1]
+            assert proc.stderr.startswith("arnold-lab: error: malformed"), proc.stderr
+
 
 class TestInvert:
     def test_expr_frozen(self):
@@ -124,6 +147,11 @@ class TestInvert:
     def test_malformed_json_is_domain_error(self):
         proc = run_cli("invert", "--series-json", "{not json")
         assert proc.returncode == 3
+
+    def test_deeply_nested_json_is_domain_error(self):
+        proc = run_cli("invert", "--series-json", "[" * 100_000)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("arnold-lab: error: malformed JSON: maximum recursion")
 
     def test_zero_denominator_is_domain_error(self):
         blob = json.dumps(

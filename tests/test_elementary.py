@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnold_lab import (
-    CompositionDomain,
-    UnknownFunction,
+from arnold_lab import elementary, series
+from arnold_lab.elementary import eval_expr, eval_text
+from arnold_lab.errors import CompositionDomain, UnknownFunction
+from arnold_lab.expressions import parse
+from arnold_lab.inversion import compositional_inverse
+from arnold_lab.series import (
     add,
     compose,
-    compositional_inverse,
-    eval_expr,
-    eval_text,
     identity_series,
     make_series,
     mul,
@@ -23,8 +23,6 @@ from arnold_lab import (
     valuation,
     zero_series,
 )
-from arnold_lab import elementary, series
-from arnold_lab.expressions import parse
 
 from helpers import horner_eval_expr, random_ast
 
@@ -122,7 +120,7 @@ class TestEvalExpr:
 
 
 def scale_check():
-    from arnold_lab import scale
+    from arnold_lab.series import scale
 
     return scale(sub(eval_text("tan", 5), eval_text("sin", 5)), F(1, 2))
 

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnold_lab.expressions import (
-    Compose,
-    Difference,
-    Monomial,
-    ParseError,
-    Primitive,
-    Scale,
-    Sum,
-    parse,
-)
+from arnold_lab.errors import ParseError
+from arnold_lab.expressions import Compose, Difference, Monomial, Primitive, Scale, Sum, parse
 from helpers import random_ast, render
 
 

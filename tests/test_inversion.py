@@ -7,15 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arnold_lab import (
-    NotInvertible,
-    compose,
-    compositional_inverse,
-    eval_text,
-    identity_series,
-    make_series,
-)
 from arnold_lab import series
+from arnold_lab.elementary import eval_text
+from arnold_lab.errors import NotInvertible
+from arnold_lab.inversion import compositional_inverse
+from arnold_lab.series import compose, identity_series, make_series
 from helpers import lagrange_inverse_oracle, random_invertible_series, random_rational
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)

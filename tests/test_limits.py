@@ -7,18 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnold_lab import (
-    ConditionViolated,
-    FlatToOrder,
-    IndistinguishableToOrder,
-    UnresolvedAtOrder,
-    compositional_inverse,
-    eval_text,
-    make_series,
-    sub,
-    valuation,
-)
+from arnold_lab.elementary import eval_text
+from arnold_lab.errors import ConditionViolated, IndistinguishableToOrder, UnresolvedAtOrder
+from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import ArnoldReport, arnold_ratio
+from arnold_lab.series import FlatToOrder, make_series, sub, valuation
 from helpers import random_tangent_pair
 
 

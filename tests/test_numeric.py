@@ -13,34 +13,29 @@ import sys
 import mpmath
 import pytest
 
-from arnold_lab import numeric
-from arnold_lab import (
-    BracketInvalid,
-    ConfigurationViolated,
-    InvalidInput,
-    InverseFn,
-    NotMonotone,
-    SeriesFn,
-    compositional_inverse,
-    counterexample_pair,
-    counterexample_ratio,
-    counterexample_sweep,
-    eval_text,
-    flatness_check,
-    geometric_sample,
-    log_theta,
-    numeric_inverse,
-    sweep,
-    theta,
-)
+from arnold_lab import inversion, numeric
+from arnold_lab.elementary import eval_text
+from arnold_lab.errors import BracketInvalid, ConfigurationViolated, InvalidInput, NotMonotone
+from arnold_lab.inversion import compositional_inverse
 from arnold_lab.numeric import (
     CSV_COLUMNS,
     CSV_HEADER,
     ROWS_PER_PIECE,
     GeometricSample,
+    InverseFn,
+    SeriesFn,
     SweepTable,
+    counterexample_pair,
+    counterexample_ratio,
+    counterexample_sweep,
+    flatness_check,
+    geometric_sample,
+    log_theta,
+    numeric_inverse,
     p,
     q,
+    sweep,
+    theta,
     thread_cap,
 )
 
@@ -525,7 +520,7 @@ class TestSweep:
             calls.append(series)
             return compositional_inverse(series)
 
-        monkeypatch.setattr(numeric, "compositional_inverse", counting)
+        monkeypatch.setattr(inversion, "compositional_inverse", counting)
         f = SeriesFn(eval_text("tan o sin", 12))
         g = SeriesFn(eval_text("sin o tan", 12))
         table = sweep(f, g, [0.3, 0.2, 0.1])

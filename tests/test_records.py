@@ -11,13 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from arnold_lab import InvalidInput, TruncatedSeries, make_series
+from arnold_lab.errors import InvalidInput
 from arnold_lab.expressions import Difference, Monomial, Primitive, Sum, parse
 from arnold_lab.numeric import GeometricSample, SweepTable
+from arnold_lab.series import TruncatedSeries, make_series
 
 ROOT = Path(__file__).resolve().parents[1]
 
 SLOW_IMPORTS = ("dataclasses", "inspect", "typing")
+# the exact side of the package, and what only it uses
+EXACT_SIDE = ("fractions", "decimal", "json", "arnold_lab.series", "arnold_lab.inversion",
+              "arnold_lab.elementary", "arnold_lab.expressions", "arnold_lab.limits")
 
 
 def sample(**changes) -> GeometricSample:
@@ -26,19 +30,40 @@ def sample(**changes) -> GeometricSample:
     return GeometricSample(**{**values, **changes})
 
 
-def test_command_line_imports_no_slow_modules():
+def loaded_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running code."""
     # -S keeps site, and whatever its .pth files import, out of the picture
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, arnold_lab.cli; print(*sorted(sys.modules), sep='\\n')"],
+        [sys.executable, "-S", "-c", f"import sys; {code}; print(*sorted(sys.modules), sep='\\n')"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_command_line_imports_no_slow_modules():
+    loaded = loaded_modules("import arnold_lab.cli")
     assert "arnold_lab.cli" in loaded
     assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+
+
+def test_package_imports_no_submodule():
+    loaded = loaded_modules("import arnold_lab")
+    assert "arnold_lab" in loaded
+    assert not [name for name in loaded if name.startswith("arnold_lab.")]
+
+
+def test_counterexample_loads_none_of_the_exact_side(tmp_path):
+    argv = ["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "25",
+            "--out", str(tmp_path / "table.csv")]
+    loaded = loaded_modules(f"from arnold_lab.cli import console_main; "
+                            f"assert console_main({argv!r}) == 0")
+    assert "arnold_lab.numeric" in loaded
+    assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+    assert loaded.isdisjoint(EXACT_SIDE), sorted(loaded & set(EXACT_SIDE))
+    assert (tmp_path / "table.csv").read_text().count("\n") == 26
 
 
 def test_equality_needs_the_same_type():

@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arnold_lab import (
-    BinomialDomain,
-    CompositionDomain,
-    DivisionDomain,
+from arnold_lab.errors import BinomialDomain, CompositionDomain, DivisionDomain, InvalidInput
+from arnold_lab.series import (
     FlatToOrder,
-    InvalidInput,
     TruncatedSeries,
     add,
     compose,
