@@ -25,7 +25,7 @@ EXIT_EMPTY = 5
 
 # the largest --order accepted; far beyond it a series does not fit in memory
 MAX_ORDER = 10_000
-# the largest --points accepted; a table that long peaks at about 0.5 GiB
+# the largest --points accepted; a table that long peaks at about 0.1 GiB
 MAX_POINTS = 1_000_000
 
 
@@ -201,6 +201,8 @@ def _cmd_sweep(args) -> int:
     f = numeric.SeriesFn(_expand(args.f, order))
     g = numeric.SeriesFn(_expand(args.g, order))
     if args.xs is not None:
+        if (args.x_min, args.x_max, args.points) != (None, None, None):
+            raise _Usage("--xs excludes --x-min, --x-max and --points")
         try:
             xs = [float(part) for part in args.xs.split(",") if part.strip()]
         except ValueError as exc:
@@ -217,8 +219,11 @@ def _cmd_sweep(args) -> int:
         xs = _log_spaced(args.x_min, args.x_max, args.points)
         _falling(xs, args.x_min, args.x_max, args.points)
     table = numeric.sweep(f, g, xs)
+    kinds = set()  # the distinct flags, noted in the one pass that computes and writes the rows
+    rows = map(lambda row: kinds.add(row.flags) or row, table.rows)
+    table = numeric.SweepTable(rows, table.f_label, table.g_label, table.bracket)
     _emit(table.pieces(args.format), args.out)
-    if all("configuration_violated" in r.flags or "unresolved" in r.flags for r in table.rows):
+    if all("configuration_violated" in flags or "unresolved" in flags for flags in kinds):
         return EXIT_EMPTY
     return EXIT_OK
 

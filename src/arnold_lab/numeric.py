@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterator
+from itertools import islice
 from operator import attrgetter
 
 from .errors import (
@@ -182,6 +183,21 @@ CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + ",%s\n"
 _csv_cells = attrgetter(*CSV_COLUMNS)
 
+# a JSON row as json.dumps writes it: every field in order, a finite float as
+# float.__repr__ (%r), and the flags as a list of strings
+_JSON_ROW = ", ".join(f'"{name}": %r' for name in GeometricSample.__slots__[:-1])
+_json_numbers = attrgetter(*GeometricSample.__slots__[:-1])
+
+
+def _json_row(row: GeometricSample) -> str:
+    numbers = _json_numbers(row)
+    text = _JSON_ROW % numbers
+    if not math.isfinite(sum(numbers)):
+        # json's NaN, Infinity and -Infinity; no field name holds "nan" or "inf"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    flags = row.flags
+    return "{%s, \"flags\": [%s]}" % (text, '"' + '", "'.join(flags) + '"' if flags else "")
+
 
 def _counterexample_sample(x: float) -> GeometricSample:
     """Log-channel evaluation for the pair f = p_inv, g = q_inv.
@@ -313,15 +329,35 @@ def flatness_check(n: int, xs: list[float] | tuple[float, ...]) -> list[float]:
 
 # sweeps
 
-# rows per piece of a table's text: one write, and one json.dumps, per piece
-ROWS_PER_PIECE = 1024
+# rows per piece of a table's text: each piece is computed, formatted and
+# written before the next, so a table never holds more rows than this
+ROWS_PER_PIECE = 128
+
+
+class _Rows:
+    """A sweep's rows, computed as they are read: len() is the grid's
+    length, rows[k] computes row k, and each pass computes every row again."""
+
+    def __init__(self, row: Callable[[float], GeometricSample], xs: list[float]):
+        self._row, self._xs = row, xs
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __iter__(self) -> Iterator[GeometricSample]:
+        return map(self._row, self._xs)
+
+    def __getitem__(self, k: int) -> GeometricSample:
+        return self._row(self._xs[k])
 
 
 class SweepTable(Record):
     """Rows of GeometricSample at strictly decreasing abscissas.
 
-    bracket is f's, when it has one; the JSON metadata then gives beside it
-    RESIDUAL_TOL, the tolerance of the inverses numeric_inverse solves there.
+    A table from sweep computes its rows as they are read, and again on
+    each pass over rows; pieces reads them once.  bracket is f's, when it
+    has one; the JSON metadata then gives beside it RESIDUAL_TOL, the
+    tolerance of the inverses numeric_inverse solves there.
     """
 
     __slots__ = ("rows", "f_label", "g_label", "bracket")
@@ -329,9 +365,9 @@ class SweepTable(Record):
 
     def pieces(self, fmt: str) -> Iterator[str]:
         """The table's text in fmt ("csv" or "json"): the header, then the
-        text of at most ROWS_PER_PIECE rows at a time, then the JSON tail."""
-        rows = self.rows
-        chunks = (rows[i:i + ROWS_PER_PIECE] for i in range(0, len(rows), ROWS_PER_PIECE))
+        text of the next ROWS_PER_PIECE rows at a time, then the JSON tail."""
+        rows = iter(self.rows)
+        chunks = iter(lambda: list(islice(rows, ROWS_PER_PIECE)), [])
         if fmt == "csv":
             yield CSV_HEADER + "\n"
             for chunk in chunks:
@@ -345,9 +381,7 @@ class SweepTable(Record):
                                        "tol": RESIDUAL_TOL if bracket else None},
                           "rows": []})[:-2]  # up to and including the rows' "["
         for k, chunk in enumerate(chunks):
-            # one encoder run per piece; slicing off its brackets keeps its separators
-            text = json.dumps([dict(zip(GeometricSample.__slots__, r._values(r))) for r in chunk])
-            yield (", " if k else "") + text[1:-1]
+            yield (", " if k else "") + ", ".join(map(_json_row, chunk))
         yield "]}\n"
 
 
@@ -380,13 +414,22 @@ def sweep(
     g: "SeriesFn | InverseFn",
     xs: list[float] | tuple[float, ...],
 ) -> SweepTable:
-    """One GeometricSample per abscissa, in input order, evaluated one
-    after another; per-row failures become flags."""
+    """One GeometricSample per abscissa, in input order, computed as the
+    table's rows are read; each pass over table.rows computes them again.
+
+    What concerns the whole table raises here, before any row: a grid that
+    is empty or not strictly decreasing, and an f or g without an inverse.
+    What concerns one row becomes its flag, so that a table written while
+    its rows are computed never stops half way: "configuration_violated",
+    or "unresolved" where a flat root leaves its bracket (BracketInvalid)
+    or misses its residual (NotMonotone, which p and q never reach).
+    """
     xs = [float(x) for x in xs]
     if not xs:
         raise InvalidInput("sweep needs at least one abscissa")
     if any(a <= b for a, b in zip(xs, xs[1:])):
         raise InvalidInput("sweep abscissas must be strictly decreasing")
+    f.inverse(), g.inverse()  # a SeriesFn reverts once, here, and keeps the inverse
 
     def row(x: float) -> GeometricSample:
         try:
@@ -396,9 +439,8 @@ def sweep(
         except (BracketInvalid, NotMonotone):
             return _flagged_row(x, "unresolved")
 
-    rows = [row(x) for x in xs]
     return SweepTable(
-        rows=tuple(rows),
+        rows=_Rows(row, xs),
         f_label=f.label,
         g_label=g.label,
         bracket=f.bracket,

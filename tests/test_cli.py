@@ -9,9 +9,11 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from arnold_lab import numeric
 from arnold_lab.cli import console_main
 from arnold_lab.numeric import ROWS_PER_PIECE
 
@@ -355,10 +357,11 @@ class TestSweep:
         # x^2 has no compositional inverse; that is found before any row is
         # compared, so the exit code does not depend on the grid
         for xs in ("0.2,0.1", "0.9,0.8"):
-            proc = run_cli("sweep", "--f", "x^2", "--g", "x^3", "--xs", xs)
-            assert proc.returncode == 3, xs
-            assert proc.stdout == ""
-            assert "no compositional inverse" in proc.stderr
+            for f, g in (("x^2", "x^3"), ("sin", "x^2")):
+                proc = run_cli("sweep", "--f", f, "--g", g, "--xs", xs)
+                assert proc.returncode == 3, (f, g, xs)
+                assert proc.stdout == ""
+                assert "no compositional inverse" in proc.stderr
 
     def test_overflowing_rows_are_violated(self):
         # both series overflow to inf there, and inf == inf must not read as f(x) = g(x)
@@ -408,6 +411,14 @@ class TestSweep:
         assert proc.returncode == 4
         assert str(tmp_path) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_xs_with_range_flag_is_usage(self):
+        for extra in (["--x-min", "0.2"], ["--x-max", "0.3"], ["--points", "1000000"],
+                      ["--x-min", "0.2", "--x-max", "0.3", "--points", "1000000"]):
+            proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.1", *extra)
+            assert proc.returncode == 4, extra
+            assert proc.stdout == ""
+            assert "--xs excludes" in proc.stderr
 
     def test_missing_grid_is_usage(self):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--x-min", "0.1")
@@ -531,6 +542,36 @@ class TestWrites:
         text = out.getvalue()
         assert len(out.sizes) >= 3
         assert max(out.sizes) <= len(text) / 2
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--f", "tan o sin", "--g", "sin o tan", "--x-min", "0.05", "--x-max", "0.4",
+         "--format", "json"),
+        ("counterexample", "--t-min", "1e-6", "--t-max", "0.1"),
+    ], ids=("sweep-json", "counterexample-csv"))
+    def test_table_is_not_held_in_memory(self, argv, tmp_path):
+        out = str(tmp_path / "table")
+        assert console_main([*argv, "--points", "2", "--out", out]) == 0  # imports what it runs
+        tracemalloc.start()
+        try:
+            code = console_main([*argv, "--points", "20000", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the grid's floats take about 0.6 MiB; all 20000 rows at once took 7-10 MiB
+        assert peak < 2 * 2**20, peak
+
+    def test_each_row_is_computed_once(self, monkeypatch, tmp_path):
+        computed = []
+        sample = numeric.geometric_sample
+        monkeypatch.setattr(numeric, "geometric_sample",
+                            lambda f, g, x: computed.append(x) or sample(f, g, x))
+        for fmt in ("csv", "json"):
+            computed.clear()
+            assert console_main(["sweep", "--f", "tan o sin", "--g", "sin o tan",
+                                 "--x-min", "0.05", "--x-max", "0.4", "--points", "300",
+                                 "--format", fmt, "--out", str(tmp_path / "table")]) == 0
+            assert len(computed) == len(set(computed)) == 300
 
     @needs_dev_full
     def test_out_to_full_device_is_usage(self):

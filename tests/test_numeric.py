@@ -436,6 +436,34 @@ class TestSweep:
             assert math.isnan(row.ratio_BC_ED) and math.isnan(row.log_ratio_DDp_FDp)
         assert sweep(f, g, [3e-308]).rows[0].flags == ("mirrored", "logspace")
 
+    def test_not_monotone_row_is_unresolved(self, monkeypatch):
+        # a row's failure is its flag: the rows around it are still computed
+        xs = [0.1, 0.01, 0.001]
+        expected = list(sweep(*counterexample_pair(), xs).rows)
+        solve = numeric.numeric_inverse
+
+        def failing(base, y):
+            if y == 0.01:
+                raise NotMonotone("residual missed")
+            return solve(base, y)
+
+        monkeypatch.setattr(numeric, "numeric_inverse", failing)
+        rows = list(sweep(*counterexample_pair(), xs).rows)
+        assert rows[1].flags == ("unresolved",) and math.isnan(rows[1].ratio_BC_ED)
+        assert [rows[0], rows[2]] == [expected[0], expected[2]]
+
+    def test_rows_are_computed_as_they_are_read(self, monkeypatch):
+        computed = []
+        sample = numeric.geometric_sample
+        monkeypatch.setattr(numeric, "geometric_sample",
+                            lambda f, g, x: computed.append(x) or sample(f, g, x))
+        table = sweep(*counterexample_pair(), [0.1, 0.01, 0.001])
+        assert len(table.rows) == 3 and computed == []
+        assert table.rows[1].x == 0.01 and computed == [0.01]
+        assert table.rows[-1].x == 0.001 and computed == [0.01, 0.001]
+        "".join(table.pieces("json"))
+        assert computed == [0.01, 0.001, 0.1, 0.01, 0.001]
+
     def test_all_rows_flagged(self):
         f = SeriesFn(eval_text("x + x^2", 6))
         g = SeriesFn(eval_text("x + 2 * x^2", 6))
