@@ -517,7 +517,9 @@ class TestSweep:
         assert {"mirrored", "logspace", "unresolved", "indeterminate",
                 "configuration_violated"} <= seen
 
-    @pytest.mark.parametrize("count", [1, ROWS_PER_PIECE, ROWS_PER_PIECE + 1])
+    # the edges of one piece and of many: 8 full pieces, then one row more
+    @pytest.mark.parametrize("count", [1, ROWS_PER_PIECE, ROWS_PER_PIECE + 1,
+                                       8 * ROWS_PER_PIECE, 8 * ROWS_PER_PIECE + 1])
     def test_pieces_join_to_the_whole_table(self, count):
         f = SeriesFn(eval_text("tan o sin", 12))
         g = SeriesFn(eval_text("sin o tan", 12))
