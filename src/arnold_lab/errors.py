@@ -11,13 +11,12 @@ from operator import attrgetter
 class Record:
     """Immutable record whose fields are the names in __slots__, in order.
 
-    Built by position or keyword, with defaults from _defaults; equal and
-    hashed by exact type and field values.  Unlike dataclass(frozen=True),
+    Built from every field, either all by position or all by keyword; equal
+    and hashed by exact type and field values.  Unlike dataclass(frozen=True),
     it costs no start-up time in imports or generated code.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         # the slot descriptors' own setters bypass the frozen __setattr__
@@ -26,26 +25,14 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         setters = self._setters
+        if kwargs and not args and kwargs.keys() == setters.keys():
+            args = tuple(map(kwargs.get, setters))
+        elif kwargs or len(args) != len(setters):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(setters)}, all by "
+                            f"position or all by keyword; got {len(args)} by position and "
+                            f"{', '.join(kwargs) or 'none'} by keyword")
         for set_field, value in zip(setters.values(), args):
             set_field(self, value)
-        try:
-            for name, value in kwargs.items():
-                setters[name](self, value)
-        except KeyError:
-            raise TypeError(f"{type(self).__name__}() has no field {name!r}") from None
-        if len(args) + len(kwargs) != len(setters) or args and kwargs:
-            self._complete(len(args), kwargs)
-
-    def _complete(self, given: int, kwargs: dict) -> None:
-        """Fill in defaults; reject too many, repeated or missing arguments."""
-        fields, defaults = self.__slots__, self._defaults
-        missing = [name for name in fields[given:] if name not in kwargs]
-        if (given > len(fields) or not kwargs.keys().isdisjoint(fields[:given])
-                or set(missing) - defaults.keys()):
-            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; got {given} "
-                            f"by position and {', '.join(kwargs) or 'none'} by keyword")
-        for name in missing:
-            self._setters[name](self, defaults[name])
 
     def _frozen(self, name: str, *value: object) -> None:
         raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .inversion import compositional_inverse
 from .series import (
-    FlatToOrder,
     TruncatedSeries,
     rational_to_json,
     series_to_json,
@@ -64,7 +63,7 @@ def arnold_ratio(f: TruncatedSeries, g: TruncatedSeries) -> ArnoldReport:
     g = g.truncate(order)
 
     index = valuation(sub(f, g))  # the first index where f and g differ
-    if isinstance(index, FlatToOrder):
+    if index is None:
         raise IndistinguishableToOrder(
             f"series agree through order {order}; the ratio needs distinct inputs"
         )

@@ -166,13 +166,13 @@ class GeometricSample(Record):
         ED  = |f_inv(x) - g_inv(x)| DDp = |x - g_inv(x)|    FDp = BC
 
     Ratio fields may be NaN when a length vanishes (flag "indeterminate");
-    raw lengths print as 0 when only their log-space channel survives
-    double-precision underflow (flag "logspace").
+    every field but x and flags is NaN in a row flagged "unresolved" or
+    "configuration_violated".  Raw lengths print as 0 when only their
+    log-space channel survives double-precision underflow (flag "logspace").
     """
 
     __slots__ = ("x", "AB", "BC", "ED", "DDp", "FDp", "ratio_AB_BC", "ratio_BC_ED",
                  "ratio_DDp_FDp", "log_ratio_DDp_FDp", "flags")
-    _defaults = {"flags": ()}
 
 
 # the CSV carries every field but ratio_DDp_FDp (its log column is exact
@@ -286,7 +286,7 @@ def geometric_sample(
                            ratio_ddp_fdp, log_ratio, tuple(flags))
 
 
-def counterexample_ratio(t: float, side: str = "right") -> float:
+def counterexample_ratio(t: float) -> float:
     """theta(t) / theta(t + t^2) for t > 0, entirely in log space.
 
     The log difference is log_theta(t) - log_theta(t + t^2)
@@ -299,17 +299,10 @@ def counterexample_ratio(t: float, side: str = "right") -> float:
     t/e of 1/e; rounding 1 + t and 1/(1 + t) moves exp's argument by at most
     3 * 2^-54, worth 1.5 ulp(1/e) while the value is below 1/2 (t < 0.44;
     above, (0.4 - 1/e) t dwarfs any rounding); exp adds one ulp.
-
-    For side="left" the same reduction at -t gives +1/(1 - t), which tends
-    to e instead; it is computed on request and no limit is asserted.
     """
     if not 0.0 < t < 1.0:
         raise InvalidInput(f"counterexample_ratio needs 0 < t < 1, got {t}")
-    if side == "right":
-        return math.exp(-1.0 / (1.0 + t))
-    if side == "left":
-        return math.exp(1.0 / (1.0 - t))
-    raise InvalidInput(f"side must be 'right' or 'left', got {side!r}")
+    return math.exp(-1.0 / (1.0 + t))
 
 
 def flatness_check(n: int, xs: list[float] | tuple[float, ...]) -> list[float]:
@@ -361,7 +354,6 @@ class SweepTable(Record):
     """
 
     __slots__ = ("rows", "f_label", "g_label", "bracket")
-    _defaults = {"bracket": None}
 
     def pieces(self, fmt: str) -> Iterator[str]:
         """The table's text in fmt ("csv" or "json"): the header, then the

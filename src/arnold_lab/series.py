@@ -30,17 +30,6 @@ def as_rational(value: RationalLike) -> Rational:
     raise InvalidInput(f"cannot interpret {value!r} as a rational coefficient")
 
 
-class FlatToOrder(Record):
-    """Marker returned by valuation() when every known coefficient is zero.
-
-    A series that is zero through its truncation order may still be nonzero
-    beyond it, so valuation cannot report an index; it reports how far the
-    flatness is certified instead.
-    """
-
-    __slots__ = ("order",)
-
-
 class TruncatedSeries(Record):
     """Coefficients of x^0 .. x^order, exact: a tuple of Rationals.
 
@@ -203,12 +192,12 @@ def pow_binomial(base: TruncatedSeries, exponent: RationalLike) -> TruncatedSeri
     return TruncatedSeries(tuple(p))
 
 
-def valuation(s: TruncatedSeries) -> int | FlatToOrder:
-    """Index of the first nonzero coefficient, or FlatToOrder if none is known."""
+def valuation(s: TruncatedSeries) -> int | None:
+    """Index of the first nonzero coefficient; None when every known one is zero."""
     for k, c in enumerate(s.coefficients):
         if c != 0:
             return k
-    return FlatToOrder(s.order)
+    return None
 
 
 # JSON encoding: rationals as decimal strings so arbitrary precision

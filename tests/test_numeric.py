@@ -366,17 +366,10 @@ class TestCounterexampleRatio:
             raw = theta(t) / theta(t + t * t)
             assert counterexample_ratio(t) == pytest.approx(raw, rel=1e-12)
 
-    def test_left_side_on_request(self):
-        assert counterexample_ratio(0.1, side="left") == pytest.approx(
-            math.exp(1.0 / 0.9), rel=1e-15
-        )
-
     def test_domain(self):
         for bad in (0.0, -0.2, 1.0, 1.5):
             with pytest.raises(InvalidInput):
                 counterexample_ratio(bad)
-        with pytest.raises(InvalidInput):
-            counterexample_ratio(0.1, side="sideways")
 
 
 class TestFlatness:

@@ -4,13 +4,17 @@ Each `arnold-lab ...` line of the first code block in that section runs
 through console_main in-process; the SHA-256 of its stdout and stderr and
 its exit code must match PINS.  An example with no pin fails, so a new
 README example needs its digests added here.  JSON_PINS holds the JSON
-sweep tables, which no README example prints, the same way.
+sweep tables, which no README example prints, the same way.  The Python
+block under "Library quick tour" runs too, and each value its comments
+state is checked.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,30 @@ def test_readme_example_is_pinned(command, monkeypatch):
 def test_json_table_is_pinned(command, monkeypatch):
     monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
     assert run(command) == JSON_PINS[command]
+
+
+def quick_tour_values() -> tuple[dict, list]:
+    """Run the quick tour's Python block statement by statement: its
+    namespace afterwards, and the value of each bare expression in order."""
+    section = README.read_text(encoding="utf-8").split("\n## Library quick tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_quick_tour_does_what_its_comments_say():
+    namespace, values = quick_tour_values()
+    n, limit, same_inverse, ratio_bc_ed, flags, closed_form, row_count, _ = values
+    assert n == 7
+    assert limit == Fraction(1, 1)
+    assert same_inverse is True
+    assert repr(ratio_bc_ed).startswith("0.36824")
+    assert flags == ("mirrored", "logspace")
+    assert repr(closed_form).startswith("0.36787980")
+    assert row_count == 3
+    assert namespace["text"].count("\n") == 1 + row_count

@@ -26,7 +26,7 @@ EXACT_SIDE = ("fractions", "decimal", "json", "arnold_lab.series", "arnold_lab.i
 
 def sample(**changes) -> GeometricSample:
     values = dict(x=0.1, AB=1.0, BC=2.0, ED=3.0, DDp=4.0, FDp=2.0, ratio_AB_BC=0.5,
-                  ratio_BC_ED=2 / 3, ratio_DDp_FDp=2.0, log_ratio_DDp_FDp=0.69)
+                  ratio_BC_ED=2 / 3, ratio_DDp_FDp=2.0, log_ratio_DDp_FDp=0.69, flags=())
     return GeometricSample(**{**values, **changes})
 
 
@@ -92,11 +92,8 @@ def test_fields_are_read_only():
     assert series == make_series([0, 1]) and row == sample()
 
 
-def test_construction_by_position_keyword_and_default():
+def test_construction_by_position_or_keyword():
     assert Monomial(Fraction(2), 3) == Monomial(exponent=3, coefficient=Fraction(2))
-    assert Monomial(Fraction(2), exponent=3) == Monomial(Fraction(2), 3)
-    assert sample().flags == ()
-    assert SweepTable((), "f", "g").bracket is None
     assert SweepTable((), "f", "g", (0.0, 0.5)).bracket == (0.0, 0.5)
 
 
@@ -107,7 +104,8 @@ def test_construction_by_position_keyword_and_default():
     lambda: Primitive(nam="x"),                                 # unknown, count right
     lambda: Monomial(Fraction(1), 2, 3),                        # too many
     lambda: Monomial(Fraction(1), coefficient=Fraction(2)),     # repeated
-    lambda: SweepTable((), "f"),                                # missing before a default
+    lambda: Monomial(Fraction(2), exponent=3),                  # mixed
+    lambda: SweepTable((), "f", "g"),                           # missing the last field
 ])
 def test_wrong_fields_are_a_type_error(build):
     with pytest.raises(TypeError):
