@@ -19,10 +19,14 @@ per kernel the slope of the least-squares line through
 (log order, log time): the scaling exponent.  A table goes to stdout.
 
 FILE also gets "startup": the median CPU time (user + system, from
-os.wait4) of 11 fresh `python -c pass`, `python -c "import arnold_lab"` and
-`python -c "import arnold_lab.cli"` processes, run alternately after one
-unrecorded run of each.  The package imports no module of its own, so the
-last is the start-up every subcommand pays before it runs.
+os.wait4) of 11 fresh `python -c pass`, `python -c "import arnold_lab"`,
+`python -c "import arnold_lab.cli"` and `python -c "import arnold_lab.cli,
+arnold_lab.numeric"` processes, run alternately after one unrecorded run
+of each.  The children write their bytecode to a private PYTHONPYCACHEPREFIX
+in a temporary directory, with PYTHONDONTWRITEBYTECODE unset, so the
+unrecorded run fills the cache and the recorded ones read it.  Every
+subcommand pays the import of arnold_lab.cli; counterexample and sweep
+also load arnold_lab.numeric, which limit, eval and invert never do.
 """
 
 import argparse
@@ -32,6 +36,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -101,16 +106,22 @@ def startup() -> dict:
     src = os.path.dirname(os.path.dirname(arnold_lab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab",
-             "import_arnold_lab_cli_s": "import arnold_lab.cli"}
+             "import_arnold_lab_cli_s": "import arnold_lab.cli",
+             "import_arnold_lab_cli_numeric_s": "import arnold_lab.cli, arnold_lab.numeric"}
     times: dict[str, list[float]] = {name: [] for name in codes}
-    for run in range(STARTUP_RUNS + 1):
-        for name, code in codes.items():
-            seconds = child_cpu_seconds(code, env)
-            if run:  # the first run of each writes the bytecode cache
-                times[name].append(seconds)
+    with tempfile.TemporaryDirectory() as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        for run in range(STARTUP_RUNS + 1):
+            for name, code in codes.items():
+                seconds = child_cpu_seconds(code, env)
+                if run:  # the first run of each writes the bytecode cache
+                    times[name].append(seconds)
     return {
         "clock": f"CPU time of a fresh process, median of {STARTUP_RUNS}",
+        "bytecode": "a private PYTHONPYCACHEPREFIX, filled by one unrecorded run; "
+                    "PYTHONDONTWRITEBYTECODE unset",
         **{name: round(statistics.median(seconds), 4) for name, seconds in times.items()},
     }
 
@@ -160,7 +171,8 @@ def main() -> None:
     start = result["startup"]
     print(f"startup: python -c pass {1e3 * start['python_pass_s']:.1f}ms, "
           f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms, "
-          f"import arnold_lab.cli {1e3 * start['import_arnold_lab_cli_s']:.1f}ms")
+          f"import arnold_lab.cli {1e3 * start['import_arnold_lab_cli_s']:.1f}ms, "
+          f"+ numeric {1e3 * start['import_arnold_lab_cli_numeric_s']:.1f}ms")
 
 
 if __name__ == "__main__":

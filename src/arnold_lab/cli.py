@@ -13,8 +13,7 @@ import os
 import sys
 
 # each subcommand imports the rest of what it runs, so counterexample
-# loads none of the exact side
-from . import numeric
+# loads none of the exact side and limit, eval and invert none of numeric
 from .errors import ArnoldLabError, InvalidInput, ParseError
 
 EXIT_OK = 0
@@ -74,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="geometric ratios of an expression pair")
     p_sweep.add_argument("--f", required=True)
     p_sweep.add_argument("--g", required=True)
-    p_sweep.add_argument("--xs", help="comma-separated, strictly decreasing")
+    p_sweep.add_argument("--xs", help="comma-separated, strictly decreasing; "
+                         "write --xs=-0.1,-0.2 when the first value is negative")
     p_sweep.add_argument("--x-min", type=float)
     p_sweep.add_argument("--x-max", type=float)
     p_sweep.add_argument("--points", type=int)
@@ -182,6 +182,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from . import numeric
+
     t_min, t_max, points = args.t_min, args.t_max, args.points
     t_bound = numeric.FLAT_BRACKET[1]  # t is the root q solves on its bracket
     if not 0.0 < t_min < t_max < t_bound:
@@ -197,6 +199,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import numeric
+
     order = _order(args.order)
     f = numeric.SeriesFn(_expand(args.f, order))
     g = numeric.SeriesFn(_expand(args.g, order))
@@ -256,10 +260,6 @@ _COMMANDS = {
 def console_main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        try:
-            numeric.thread_cap(1)  # fail fast on a malformed ARNOLD_LAB_THREADS
-        except InvalidInput as exc:
-            raise _Usage(str(exc)) from None
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"arnold-lab: error: {exc}", file=sys.stderr)

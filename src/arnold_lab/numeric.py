@@ -11,7 +11,6 @@ the underflow threshold of double precision (|x| around 1/745).
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Iterator
 from itertools import islice
 from operator import attrgetter
@@ -377,24 +376,13 @@ class SweepTable(Record):
         yield "]}\n"
 
 
-def thread_cap(row_count: int) -> int:
-    """The validated ARNOLD_LAB_THREADS, or 1 when it is unset.
+def thread_cap() -> int:
+    """1: sweeps run sequentially, and nothing in the program calls this.
 
-    Sweeps run sequentially whatever the value, and row_count is ignored;
-    the variable is still checked so that a malformed one is rejected.
+    It stays only because clibench/spans.py wraps it by name; the benchmark
+    change of ROADMAP items 2-4 deletes it with numeric.sweep_workers.
     """
-    raw = os.environ.get("ARNOLD_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InvalidInput(
-            f"ARNOLD_LAB_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
+    return 1
 
 
 def _flagged_row(x: float, flag: str) -> GeometricSample:

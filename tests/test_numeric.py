@@ -36,7 +36,6 @@ from arnold_lab.numeric import (
     q,
     sweep,
     theta,
-    thread_cap,
 )
 
 from helpers import bisection_inverse, check_increasing
@@ -549,20 +548,3 @@ class TestSweep:
         table = sweep(f, g, [0.3, 0.2, 0.1])
         assert len(table.rows) == 3
         assert len(calls) == 2
-
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        monkeypatch.setenv("ARNOLD_LAB_THREADS", "1")
-        first = "".join(counterexample_sweep([0.1, 0.01, 0.001]).pieces("csv"))
-        monkeypatch.setenv("ARNOLD_LAB_THREADS", "3")
-        second = "".join(counterexample_sweep([0.1, 0.01, 0.001]).pieces("csv"))
-        assert first == second
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
-        assert thread_cap(3) >= 1
-        monkeypatch.setenv("ARNOLD_LAB_THREADS", "2")
-        assert thread_cap(100) == 2
-        for bad in ("0", "-4", "many"):
-            monkeypatch.setenv("ARNOLD_LAB_THREADS", bad)
-            with pytest.raises(InvalidInput):
-                thread_cap(4)

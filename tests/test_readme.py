@@ -97,15 +97,13 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize("command", readme_commands())
-def test_readme_example_is_pinned(command, monkeypatch):
-    monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
+def test_readme_example_is_pinned(command):
     assert command in PINS, f"no pin for README example {command!r}: {run(command)}"
     assert run(command) == PINS[command]
 
 
 @pytest.mark.parametrize("command", sorted(JSON_PINS))
-def test_json_table_is_pinned(command, monkeypatch):
-    monkeypatch.delenv("ARNOLD_LAB_THREADS", raising=False)
+def test_json_table_is_pinned(command):
     assert run(command) == JSON_PINS[command]
 
 

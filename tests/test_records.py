@@ -47,12 +47,27 @@ def test_command_line_imports_no_slow_modules():
     loaded = loaded_modules("import arnold_lab.cli")
     assert "arnold_lab.cli" in loaded
     assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
+    assert "arnold_lab.numeric" not in loaded
 
 
 def test_package_imports_no_submodule():
     loaded = loaded_modules("import arnold_lab")
     assert "arnold_lab" in loaded
     assert not [name for name in loaded if name.startswith("arnold_lab.")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "8"],
+    ["eval", "--expr", "tan o sin", "--order", "8"],
+    ["invert", "--expr", "tan o sin", "--order", "8"],
+], ids=("limit", "eval", "invert"))
+def test_exact_side_loads_no_numeric(argv):
+    # these subcommands have no --out, so stdout goes to the null device
+    loaded = loaded_modules(f"import os; from arnold_lab.cli import console_main; "
+                            f"sink = sys.stdout = open(os.devnull, 'w'); "
+                            f"rc = console_main({argv!r}); "
+                            f"sys.stdout = sys.__stdout__; sink.close(); assert rc == 0")
+    assert "arnold_lab.numeric" not in loaded
 
 
 def test_counterexample_loads_none_of_the_exact_side(tmp_path):

@@ -53,8 +53,9 @@ def test_bench_kernels_small_ladder(tmp_path):
         assert isinstance(entry["exponent"], float)
     assert "compositional_inverse" in proc.stdout
     startup = result["startup"]
-    assert set(startup) == {"clock", "python_pass_s", "import_arnold_lab_s",
-                            "import_arnold_lab_cli_s"}
+    assert set(startup) == {"clock", "bytecode", "python_pass_s", "import_arnold_lab_s",
+                            "import_arnold_lab_cli_s", "import_arnold_lab_cli_numeric_s"}
     assert 0 < startup["python_pass_s"] and 0 < startup["import_arnold_lab_s"]
-    assert 0 < startup["import_arnold_lab_cli_s"]
+    assert 0 < startup["import_arnold_lab_cli_s"] and 0 < startup["import_arnold_lab_cli_numeric_s"]
     assert "import arnold_lab " in proc.stdout and "import arnold_lab.cli " in proc.stdout
+    assert "+ numeric " in proc.stdout
