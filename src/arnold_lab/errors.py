@@ -77,9 +77,6 @@ class ParseError(ArnoldLabError):
         wanted = " or ".join(expected)
         super().__init__(f"at offset {offset}: expected {wanted}, found {found}")
 
-    def to_json_dict(self) -> dict:
-        return {"offset": self.offset, "expected": list(self.expected)}
-
 
 class CompositionDomain(ArnoldLabError):
     """Composition requires the inner series to have zero constant term."""
@@ -111,15 +108,3 @@ class IndistinguishableToOrder(ArnoldLabError):
 
 class UnresolvedAtOrder(ArnoldLabError):
     """Truncation order too small to resolve the requested quantity."""
-
-
-class BracketInvalid(ArnoldLabError):
-    """The target value is not enclosed by the bracket."""
-
-
-class NotMonotone(ArnoldLabError):
-    """A function assumed monotone showed a sign anomaly."""
-
-
-class ConfigurationViolated(ArnoldLabError):
-    """A geometric sample was requested outside the supported ordering."""

@@ -15,13 +15,7 @@ from collections.abc import Callable, Iterator
 from itertools import islice
 from operator import attrgetter
 
-from .errors import (
-    BracketInvalid,
-    ConfigurationViolated,
-    InvalidInput,
-    NotMonotone,
-    Record,
-)
+from .errors import InvalidInput, Record
 
 NAN = float("nan")
 
@@ -125,15 +119,13 @@ def numeric_inverse(base: Callable[[float], float], y: float) -> float:
     solves u - v + theta(u) / (1 + u + v) = 0, since q(v) - q(u) = theta(u);
     Newton's method runs on that from u = v and stops once a step does not
     strictly shrink, so it ends, in at most 6 steps on the bracket, with
-    u <= v.  A target outside base(FLAT_BRACKET) is BracketInvalid; the
-    residual |base(x) - y| <= RESIDUAL_TOL * max(1, |y|) is then enforced,
-    and a failure (a base other than p or q) is reported as NotMonotone.
+    u <= v.  The root is NaN for a target outside base(FLAT_BRACKET), and
+    for one that misses the residual |base(x) - y| <= RESIDUAL_TOL * max(1, |y|)
+    (a base other than p or q).
     """
     lo, hi = FLAT_BRACKET
     if not base(lo) <= y <= base(hi):
-        raise BracketInvalid(
-            f"target {y} outside base(bracket) = [{base(lo)}, {base(hi)}]"
-        )
+        return NAN
     v = 2.0 * y / (1.0 + math.sqrt(1.0 + 4.0 * y))
     v -= (q(v) - y) / (1.0 + 2.0 * v)
     x, last = v, math.inf
@@ -144,10 +136,7 @@ def numeric_inverse(base: Callable[[float], float], y: float) -> float:
             break
         x, last = x - step, abs(step)
     if abs(base(x) - y) > RESIDUAL_TOL * max(1.0, abs(y)):
-        raise NotMonotone(
-            f"inverse converged to {x} but |base(x) - y| exceeds tolerance; "
-            "is the base p or q?"
-        )
+        return NAN
     return x
 
 
@@ -164,9 +153,10 @@ class GeometricSample(Record):
         AB  = |f(x) - g(x)|         BC  = |x - f_inv(g(x))|
         ED  = |f_inv(x) - g_inv(x)| DDp = |x - g_inv(x)|    FDp = BC
 
-    Ratio fields may be NaN when a length vanishes (flag "indeterminate");
-    every field but x and flags is NaN in a row flagged "unresolved" or
-    "configuration_violated".  Raw lengths print as 0 when only their
+    Ratio fields may be NaN when a length vanishes (flag "indeterminate").
+    A row that cannot be sampled is still a row, never an exception: it is
+    flagged "unresolved" or "configuration_violated", and every field but x
+    and flags is NaN.  Raw lengths print as 0 when only their
     log-space channel survives double-precision underflow (flag "logspace").
     """
 
@@ -213,8 +203,8 @@ def _counterexample_sample(x: float) -> GeometricSample:
 
     AB > 0 makes every row "mirrored", f(x) = u < v = g(x) < x, even where
     u and v are the same double.  Where -1/u, -1/v or -1/x is not finite
-    (x = 0, or a subnormal root) no channel survives in doubles, and the
-    row comes back "unresolved".
+    (x = 0, a subnormal root, or a NaN root of an x outside the bracket) no
+    channel survives in doubles, and the row comes back "unresolved".
     """
     u, v = numeric_inverse(p, x), numeric_inverse(q, x)
     log_u, log_bc, log_ed = log_theta(u), log_theta(v), log_theta(x)
@@ -241,9 +231,11 @@ def geometric_sample(
     is evaluated in doubles.  Its valid configurations, with f(x) and g(x)
     finite, are f(x) = g(x) as doubles (ratios indeterminate), or f(x) and
     g(x) on the same side of the diagonal with g strictly off it: the
-    f > g > id picture and its mirror image f < g < id.  Its lengths are
-    differences of doubles near x; a row whose smallest gap is under
-    GAP_FLOOR_ULPS ulps of x comes back "unresolved".
+    f > g > id picture and its mirror image f < g < id; any other row comes
+    back "configuration_violated".  Its lengths are differences of doubles
+    near x; a row whose smallest gap is under GAP_FLOOR_ULPS ulps of x comes
+    back "unresolved".  Every failure is a flag: a row is returned, never
+    raised.
     """
     f_inv = f.inverse()
     g_inv = g.inverse()
@@ -252,19 +244,10 @@ def geometric_sample(
 
     fx = f(x)
     gx = g(x)
-    if not (math.isfinite(fx) and math.isfinite(gx)):
-        raise ConfigurationViolated(f"f(x) = {fx}, g(x) = {gx} at x = {x}; both must be finite")
-    flags: list[str] = []
-    if gx == x and fx != gx:
-        raise ConfigurationViolated(f"g(x) = x at x = {x}; the picture degenerates")
-    if fx != gx:
-        if (fx > gx) != (gx > x):
-            raise ConfigurationViolated(
-                f"need f(x) > g(x) > x or the mirror image at x = {x}; "
-                f"got f(x) = {fx}, g(x) = {gx}"
-            )
-        if fx < gx:
-            flags.append("mirrored")
+    finite = math.isfinite(fx) and math.isfinite(gx)
+    if not finite or (fx != gx and (gx == x or (fx > gx) != (gx > x))):
+        return _flagged_row(x, "configuration_violated")
+    flags = ["mirrored"] if fx < gx else []
 
     ab = abs(fx - gx)
     bc = abs(x - f_inv(gx))
@@ -399,10 +382,9 @@ def sweep(
 
     What concerns the whole table raises here, before any row: a grid that
     is empty or not strictly decreasing, and an f or g without an inverse.
-    What concerns one row becomes its flag, so that a table written while
-    its rows are computed never stops half way: "configuration_violated",
-    or "unresolved" where a flat root leaves its bracket (BracketInvalid)
-    or misses its residual (NotMonotone, which p and q never reach).
+    What concerns one row is its flag, which geometric_sample returns and
+    never raises, so that a table written while its rows are computed never
+    stops half way.
     """
     xs = [float(x) for x in xs]
     if not xs:
@@ -412,12 +394,7 @@ def sweep(
     f.inverse(), g.inverse()  # a SeriesFn reverts once, here, and keeps the inverse
 
     def row(x: float) -> GeometricSample:
-        try:
-            return geometric_sample(f, g, x)
-        except ConfigurationViolated:
-            return _flagged_row(x, "configuration_violated")
-        except (BracketInvalid, NotMonotone):
-            return _flagged_row(x, "unresolved")
+        return geometric_sample(f, g, x)  # looked up per row, so a wrapped one is seen
 
     return SweepTable(
         rows=_Rows(row, xs),

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -594,6 +596,27 @@ class TestWrites:
                 [sys.executable, "-m", "arnold_lab", *argv],
                 stdout=full, stderr=subprocess.PIPE, text=True,
                 env=_child_env(unbuffered), timeout=60,
+            )
+        _assert_write_failed(proc.returncode, proc.stderr)
+        assert "cannot write stdout" in proc.stderr
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--expr", "sin", "--order", "3"), ("eval", "--help"),
+        ("limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "12"),
+    ], ids=("eval", "help", "limit"))
+    def test_installed_script_to_full_device_is_usage(self, argv):
+        # called as pip's wrapper calls it, sys.exit(target()), and buffered:
+        # the target must flush stdout itself, or the exit-time flush fails again
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        module, name = re.search(r'^arnold-lab = "([\w.]+):(\w+)"$', pyproject.read_text(),
+                                 re.MULTILINE).groups()
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())",
+                 *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=_child_env(unbuffered=False), timeout=60,
             )
         _assert_write_failed(proc.returncode, proc.stderr)
         assert "cannot write stdout" in proc.stderr

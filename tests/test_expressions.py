@@ -113,10 +113,8 @@ class TestParseErrors:
     def test_json_shape(self):
         with pytest.raises(ParseError) as info:
             parse("sin((")
-        assert info.value.to_json_dict() == {
-            "offset": 4,
-            "expected": ["o", "+", "-", "end of input"],
-        }
+        assert info.value.offset == 4
+        assert info.value.expected == ("o", "+", "-", "end of input")
 
 
 class TestLexicalRules:
