@@ -9,8 +9,10 @@ Prints three short reports:
 """
 
 import argparse
+import sys
 
 from arnold_lab.elementary import eval_text
+from arnold_lab.errors import ArnoldLabError
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import arnold_ratio
 from arnold_lab.numeric import counterexample_ratio, counterexample_sweep, flatness_check
@@ -19,9 +21,13 @@ E_INV = 0.36787944117144233
 
 
 def headline(order: int) -> None:
-    f = eval_text("tan o sin", order)
-    g = eval_text("sin o tan", order)
-    report = arnold_ratio(f, g)
+    try:
+        f = eval_text("tan o sin", order)
+        g = eval_text("sin o tan", order)
+        report = arnold_ratio(f, g)
+    except ArnoldLabError as exc:  # one line and exit 3, as the command line does
+        print(f"run_experiments.py: error: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
     print(f"f = tan o sin, g = sin o tan, both to order {order}")
     print(f"  first divergence at N = {report.N}")
     print(f"  leading terms: {report.numerator_leading} over {report.denominator_leading}")

@@ -104,7 +104,3 @@ class ConditionViolated(ArnoldLabError):
 
 class IndistinguishableToOrder(ArnoldLabError):
     """The two series agree on every known coefficient."""
-
-
-class UnresolvedAtOrder(ArnoldLabError):
-    """Truncation order too small to resolve the requested quantity."""

@@ -2,19 +2,16 @@
 
 For analytic f, g tangent to y = x at 0 (both equal to x + O(x^2)) and not
 identical, the numerator and denominator first differ at the same index N
-and with the same leading coefficient, so the ratio tends to exactly 1.
+and with the same leading coefficient, so the ratio tends to exactly 1:
+the inverse coefficient b_n solves a triangular system in a_1 .. a_n, and
+b_n + a_n depends only on a_2 .. a_(n-1), so b_N(g) - b_N(f) = a_N(f) - a_N(g).
 This module computes that limit from truncated series instead of assuming
 it.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    ConditionViolated,
-    IndistinguishableToOrder,
-    Record,
-    UnresolvedAtOrder,
-)
+from .errors import ConditionViolated, IndistinguishableToOrder, Record
 from .inversion import compositional_inverse
 from .series import (
     TruncatedSeries,
@@ -52,9 +49,10 @@ def _require_tangent(label: str, s: TruncatedSeries) -> None:
 def arnold_ratio(f: TruncatedSeries, g: TruncatedSeries) -> ArnoldReport:
     """Locate N and compute the exact limit of (f - g)/(g_inv - f_inv).
 
-    Both series must be x + O(x^2) exactly and differ somewhere below the
-    truncation order; one extra resolved coefficient beyond N is required
-    so the denominator's leading term is trustworthy.
+    Both series must be x + O(x^2) exactly and differ somewhere up to the
+    truncation order.  Coefficients through N suffice: the triangular system
+    gives the inverses exactly through N, and their difference there is
+    the numerator's leading coefficient again.
     """
     _require_tangent("f", f)
     _require_tangent("g", g)
@@ -67,19 +65,11 @@ def arnold_ratio(f: TruncatedSeries, g: TruncatedSeries) -> ArnoldReport:
         raise IndistinguishableToOrder(
             f"series agree through order {order}; the ratio needs distinct inputs"
         )
-    if order < index + 1:
-        raise UnresolvedAtOrder(
-            f"first divergence at {index} needs order >= {index + 1}, got {order}"
-        )
 
     f_inverse = compositional_inverse(f).inverse
     g_inverse = compositional_inverse(g).inverse
     numerator_leading = f.coefficients[index] - g.coefficients[index]
     denominator_leading = g_inverse.coefficients[index] - f_inverse.coefficients[index]
-    if denominator_leading == 0:
-        # cannot happen when the tangency condition holds (the inverse
-        # coefficients then diverge exactly where the forward ones do)
-        raise UnresolvedAtOrder(f"inverse series agree at index {index}")
     return ArnoldReport(
         N=index,
         numerator_leading=numerator_leading,

@@ -381,7 +381,8 @@ def sweep(
     table's rows are read; each pass over table.rows computes them again.
 
     What concerns the whole table raises here, before any row: a grid that
-    is empty or not strictly decreasing, and an f or g without an inverse.
+    is empty, holds a NaN or is not strictly decreasing, and an f or g
+    without an inverse.
     What concerns one row is its flag, which geometric_sample returns and
     never raises, so that a table written while its rows are computed never
     stops half way.
@@ -389,7 +390,8 @@ def sweep(
     xs = [float(x) for x in xs]
     if not xs:
         raise InvalidInput("sweep needs at least one abscissa")
-    if any(a <= b for a, b in zip(xs, xs[1:])):
+    # a > b is false wherever a NaN stands, so only a lone NaN needs its own test
+    if not all(a > b for a, b in zip(xs, xs[1:])) or math.isnan(xs[0]):
         raise InvalidInput("sweep abscissas must be strictly decreasing")
     f.inverse(), g.inverse()  # a SeriesFn reverts once, here, and keeps the inverse
 

@@ -198,9 +198,24 @@ class TestLimit:
         proc = run_cli("limit", "--f", "sin", "--g", "sin", "--order", "10")
         assert proc.returncode == 3
 
-    def test_unresolved_at_low_order(self):
+    def test_order_N_suffices(self):
+        # the pair first differs at x^7; order 7 gives the inverses exactly through it
         proc = run_cli("limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "7")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["N"] == 7
+        assert payload["limit"] == {"num": "1", "den": "1"}
+        longer = json.loads(
+            run_cli("limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "8").stdout
+        )
+        for side in ("f_inverse", "g_inverse"):
+            assert payload[side]["order"] == 7
+            assert payload[side]["coefficients"] == longer[side]["coefficients"][:8]
+
+    def test_agreeing_through_order_exit_3(self):
+        proc = run_cli("limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "6")
         assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1 and "agree through order 6" in proc.stderr
 
     def test_condition_violated(self):
         proc = run_cli("limit", "--f", "cos", "--g", "sin", "--order", "8")

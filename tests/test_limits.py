@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnold_lab.elementary import eval_text
-from arnold_lab.errors import ConditionViolated, IndistinguishableToOrder, UnresolvedAtOrder
+from arnold_lab.errors import ConditionViolated, IndistinguishableToOrder
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import ArnoldReport, arnold_ratio
 from arnold_lab.series import make_series, sub, valuation
@@ -60,9 +60,11 @@ class TestArnoldRatio:
         with pytest.raises(ConditionViolated):
             arnold_ratio(make_series([0, 2, 1]), make_series([0, 2, 0, 1]))
 
-    def test_unresolved_at_order(self):
-        with pytest.raises(UnresolvedAtOrder):
-            arnold_ratio(make_series([0, 1, 1]), make_series([0, 1, 0]))
+    def test_order_N_suffices(self):
+        report = arnold_ratio(make_series([0, 1, 1]), make_series([0, 1, 0]))
+        assert report.N == 2
+        assert report.limit == 1
+        assert report.f_inverse == make_series([0, 1, -1])
 
     def test_mixed_orders_use_common_part(self):
         report = arnold_ratio(make_series([0, 1, 1, 0, 0, 9]), make_series([0, 1, 0, 1, 0]))
@@ -101,3 +103,24 @@ class TestAnalyticCorpus:
         assert fw.numerator_leading == -bw.numerator_leading
         assert fw.denominator_leading == -bw.denominator_leading
         assert fw.limit == bw.limit == 1
+
+
+class TestLemmaIdentity:
+    """R_N(f) == R_N(g): the residual R_N = b_N + a_N depends only on
+    a_2 .. a_(N-1), where f and g agree, so b_N(g) - b_N(f) = a_N(f) - a_N(g)."""
+
+    def test_headline_at_order_7(self):
+        f, g = eval_text("tan o sin", 7), eval_text("sin o tan", 7)
+        f_witness, g_witness = compositional_inverse(f), compositional_inverse(g)
+        assert (f.coefficients[7], g.coefficients[7]) == (F(-107, 5040), F(-55, 1008))
+        assert f_witness.inverse.coefficients[7] == F(-341, 5040)
+        assert g_witness.inverse.coefficients[7] == F(-173, 5040)
+        assert f_witness.residuals[7 - 2] == g_witness.residuals[7 - 2] == F(-4, 45)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**48))
+    def test_residual_at_N_is_shared(self, seed):
+        f, g = random_tangent_pair(random.Random(seed), max_order=12)
+        n = valuation(sub(f, g))
+        f_residuals = compositional_inverse(f).residuals
+        assert f_residuals[n - 2] == compositional_inverse(g).residuals[n - 2]

@@ -417,6 +417,13 @@ class TestSweep:
         with pytest.raises(InvalidInput):
             sweep(f, g, [])
 
+    @pytest.mark.parametrize("xs", [[0.3, math.nan, 0.1], [math.nan], [math.nan, 0.1]])
+    def test_nan_abscissa_rejected(self, xs):
+        series_pair = SeriesFn(eval_text("tan o sin", 12)), SeriesFn(eval_text("sin o tan", 12))
+        for f, g in (counterexample_pair(), series_pair):
+            with pytest.raises(InvalidInput, match="strictly decreasing"):
+                sweep(f, g, xs)
+
     def test_counterexample_trend(self):
         table = counterexample_sweep([0.1, 0.01, 0.001, 0.0001])
         ratios = [r.ratio_BC_ED for r in table.rows]

@@ -17,17 +17,38 @@ def _env():
     return env
 
 
-def test_run_experiments():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_experiments.py")],
+def _run_experiments(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), *args],
         capture_output=True,
         text=True,
         env=_env(),
         cwd=ROOT,
         timeout=60,
     )
+
+
+def test_run_experiments():
+    proc = _run_experiments()
     assert proc.returncode == 0, proc.stderr
     assert "limit of (f - g)/(g^-1 - f^-1) at 0: 1\n" in proc.stdout
+
+
+def test_run_experiments_at_the_divergence_order():
+    # tan o sin and sin o tan first differ at x^7, and order 7 resolves the limit
+    proc = _run_experiments("--order", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert "first divergence at N = 7\n" in proc.stdout
+    assert "limit of (f - g)/(g^-1 - f^-1) at 0: 1\n" in proc.stdout
+
+
+def test_run_experiments_below_the_divergence_order_exits_3():
+    proc = _run_experiments("--order", "3")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("run_experiments.py: error: series agree through order 3; "
+                           "the ratio needs distinct inputs\n")
 
 
 def test_bench_kernels_small_ladder(tmp_path):
