@@ -130,15 +130,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
     parser.add_argument("--orders", default="12,24,40,64,96",
-                        help="comma-separated, at least two distinct orders >= 8")
+                        help="comma-separated, at least two distinct orders >= 7")
     args = parser.parse_args()
     try:
         orders = sorted({int(part) for part in args.orders.split(",")})
     except ValueError:
         parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
-    # tan o sin and sin o tan first differ at x^7, and the limit needs one more order
-    if len(orders) < 2 or orders[0] < 8:
-        parser.error("--orders needs at least two distinct orders >= 8")
+    # tan o sin and sin o tan first differ at x^7, and order 7 resolves the limit
+    if len(orders) < 2 or orders[0] < 7:
+        parser.error("--orders needs at least two distinct orders >= 7")
 
     times: dict[str, list[float]] = {}
     for order in orders:

@@ -9,6 +9,7 @@ Prints three short reports:
 """
 
 import argparse
+import os
 import sys
 
 from arnold_lab.elementary import eval_text
@@ -62,11 +63,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=int, default=12)
     args = parser.parse_args()
-    headline(args.order)
-    print()
-    counterexample()
-    print()
-    flatness()
+    try:
+        headline(args.order)
+        print()
+        counterexample()
+        print()
+        flatness()
+        sys.stdout.flush()
+    except OSError as exc:  # one line and exit 4, as the command line does
+        print(f"run_experiments.py: error: cannot write stdout: {exc.strerror or exc}",
+              file=sys.stderr)
+        # the exit-time flush of what is still buffered must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(4) from None
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 # each subcommand imports the rest of what it runs, so counterexample
@@ -73,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="geometric ratios of an expression pair")
     p_sweep.add_argument("--f", required=True)
     p_sweep.add_argument("--g", required=True)
-    p_sweep.add_argument("--xs", help="comma-separated, strictly decreasing; "
-                         "write --xs=-0.1,-0.2 when the first value is negative")
+    p_sweep.add_argument("--xs", help="comma-separated, strictly decreasing")
     p_sweep.add_argument("--x-min", type=float)
     p_sweep.add_argument("--x-max", type=float)
     p_sweep.add_argument("--points", type=int)
@@ -258,6 +258,10 @@ _COMMANDS = {
 
 
 def console_main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-0.1,-0.2" for an option
+        if argv[k - 1] == "--xs" and re.match(r"-[0-9.]", argv[k]):
+            argv[k - 1 : k + 1] = [f"--xs={argv[k]}"]
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

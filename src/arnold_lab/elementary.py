@@ -1,13 +1,12 @@
 """The named primitives at a series, and AST evaluation.
 
-Each primitive is evaluated at a series h with h(0) = 0 through its
-differential equation (Brent and Kung, J. ACM 25(4), 1978): sin h and
-cos h together from S' = C h' and C' = -S h', tan h = S / C,
-arctan h = integral of h' / (1 + h^2) and arcsin h = integral of
-h' (1 - h^2)^(-1/2), each O(n^2) rational operations.  At the root h is
-the series x.  All of them are series of rationals, so identities like
-sin^2 + cos^2 = 1 hold with zero tolerance and make good engine
-self-checks.
+Each primitive is evaluated at a series h with h(0) = 0 by one O(n^2)
+recurrence from its differential equation (Brent and Kung, J. ACM 25(4),
+1978): sin h and cos h together from S' = C h' and C' = -S h', tan h =
+S / C, arctan h = integral of Q with Q (1 + h^2) = h', and arcsin h =
+integral of h' R with (1 - h^2) R' = h h' R, R(0) = 1.  At the root h is
+the series x.  Exact rationals make identities like sin^2 + cos^2 = 1
+hold with zero tolerance, good engine self-checks.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from .series import (
     Rational,
     TruncatedSeries,
     add,
-    derive,
     divide,
     identity_series,
-    integrate,
     mul,
     one_series,
-    pow_binomial,
     require_zero_constant,
     scale,
     sub,
@@ -48,13 +44,26 @@ def _sin_cos_at(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
 
 
 def _arctan_at(h: TruncatedSeries) -> TruncatedSeries:
-    one_plus_square = add(one_series(h.order), mul(h, h))
-    return integrate(divide(derive(h), one_plus_square)).truncate(h.order)
+    """Q_m = (m + 1) h_(m+1) - sum_j P_j Q_(m-j) with P = h^2, and k A_k = Q_(k-1)."""
+    square = [(j, pj) for j, pj in enumerate(mul(h, h).coefficients) if pj]
+    q = []
+    for m in range(h.order):
+        total = sum(pj * q[m - j] for j, pj in square if j <= m and q[m - j])
+        q.append((m + 1) * h.coefficients[m + 1] - total)
+    return TruncatedSeries((Fraction(0), *(qm / k for k, qm in enumerate(q, 1))))
 
 
 def _arcsin_at(h: TruncatedSeries) -> TruncatedSeries:
-    root = pow_binomial(sub(one_series(h.order), mul(h, h)), Fraction(-1, 2))
-    return integrate(mul(derive(h), root)).truncate(h.order)
+    """2k R_k = sum_j (2k - j) P_j R_(k-j) with P = h^2, and k A_k = sum_j j h_j R_(k-j)."""
+    square = [(j, pj) for j, pj in enumerate(mul(h, h).coefficients) if pj]
+    dh = [(j, j * hj) for j, hj in enumerate(h.coefficients) if hj]
+    a, r = [Fraction(0)], [Fraction(1)]
+    for k in range(1, h.order + 1):  # an empty sum is the int 0, and 0 / k a float
+        total = sum(d * r[k - j] for j, d in dh if j <= k and r[k - j])
+        a.append(total / k if total else Fraction(0))
+        total = sum((2 * k - j) * pj * r[k - j] for j, pj in square if j <= k and r[k - j])
+        r.append(total / (2 * k) if total else Fraction(0))
+    return TruncatedSeries(tuple(a))
 
 
 _AT_SERIES: dict[str, Rule] = {

@@ -159,21 +159,6 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(q))
 
 
-def derive(s: TruncatedSeries) -> TruncatedSeries:
-    """Term-wise derivative; loses one order (order 0 stays order 0)."""
-    if s.order == 0:
-        return zero_series(0)
-    return TruncatedSeries(tuple(Fraction(k) * s.coefficients[k] for k in range(1, s.order + 1)))
-
-
-def integrate(s: TruncatedSeries) -> TruncatedSeries:
-    """Term-wise antiderivative with zero constant term; gains one order."""
-    out = [Fraction(0)] * (s.order + 2)
-    for k, c in enumerate(s.coefficients):
-        out[k + 1] = c / (k + 1)
-    return TruncatedSeries(tuple(out))
-
-
 def pow_binomial(base: TruncatedSeries, exponent: RationalLike) -> TruncatedSeries:
     """base^exponent for rational exponents, by J.C.P. Miller's recurrence.
 

@@ -422,11 +422,14 @@ class TestSweep:
         assert proc.returncode == 0
         rows = proc.stdout.strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == ["mirrored", "mirrored"]
-        # argparse reads a separate "-0.1,-0.2" as a flag; the --xs help says to write --xs=
-        spaced = run_cli(*pair, "--xs", "-0.1,-0.2")
-        assert spaced.returncode == 4 and spaced.stdout == ""
-        assert "argument --xs: expected one argument" in spaced.stderr
-        assert "--xs=-0.1,-0.2" in run_cli("sweep", "--help").stdout
+        # argparse alone reads a separate "-0.1,-0.2" as a flag; the spaced form prints the same
+        for spaced in (("--xs", "-0.1,-0.2"), ("--xs", "-.1,-0.2")):
+            same = run_cli(*pair, *spaced)
+            assert (same.returncode, same.stdout, same.stderr) == (0, proc.stdout, ""), spaced
+        # a flag after --xs is still a flag
+        missing = run_cli(*pair, "--xs", "--format", "json")
+        assert missing.returncode == 4 and missing.stdout == ""
+        assert "argument --xs: expected one argument" in missing.stderr
 
     def test_out_to_directory_is_usage(self, tmp_path):
         proc = run_cli("sweep", "--f", "x", "--g", "sin", "--xs", "0.1", "--out", str(tmp_path))

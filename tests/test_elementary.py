@@ -24,7 +24,7 @@ from arnold_lab.series import (
     zero_series,
 )
 
-from helpers import horner_eval_expr, random_ast
+from helpers import arcsin_series, arctan_series, horner_eval_expr, random_ast
 
 
 def recurrence_sin_cos(order):
@@ -70,6 +70,10 @@ class TestGenerators:
 
     def test_arcsin_frozen(self):
         assert eval_text("arcsin", 5) == make_series([0, 1, 0, F(1, 6), 0, F(3, 40)])
+
+    def test_arctan_arcsin_at_order_2000(self):
+        assert eval_text("arctan", 2000) == arctan_series(2000)
+        assert eval_text("arcsin", 2000) == arcsin_series(2000)
 
     def test_inverse_pairs_compose_to_identity(self):
         order = 9
@@ -206,3 +210,16 @@ class TestEvalOracle:
                     monkeypatch.setattr(module, name, counting)
         eval_text("tan o sin", 24)
         assert calls == []
+
+    def test_arctan_arcsin_take_no_division_or_binomial_power(self, monkeypatch):
+        originals = (series.divide, series.pow_binomial)
+
+        def refuse(*args):
+            raise AssertionError("arctan and arcsin are their own recurrences")
+
+        for module in (series, elementary):
+            for name, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, name, refuse)
+        for text in ("arcsin", "arctan", "arcsin o arctan", "arctan o arcsin"):
+            assert eval_text(text, 24).order == 24, text

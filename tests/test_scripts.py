@@ -51,17 +51,49 @@ def test_run_experiments_below_the_divergence_order_exits_3():
                            "the ratio needs distinct inputs\n")
 
 
-def test_bench_kernels_small_ladder(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
+def test_run_experiments_into_a_closed_pipe_exits_4():
+    # the read end is closed before the script starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_experiments.py")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(),
+            cwd=ROOT,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == "run_experiments.py: error: cannot write stdout: Broken pipe\n"
+
+
+def _bench_kernels(orders, out):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_kernels.py"),
-         "--orders", "8,12", "--out", str(out)],
+         "--orders", orders, "--out", str(out)],
         capture_output=True,
         text=True,
         env=_env(),
         cwd=ROOT,
         timeout=60,
     )
+
+
+def test_bench_kernels_at_the_divergence_order(tmp_path):
+    # order 7 resolves the headline pair, so the ladder may start there
+    out = tmp_path / "bench.json"
+    proc = _bench_kernels("7,8", out)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["orders"] == [7, 8]
+
+
+def test_bench_kernels_small_ladder(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = _bench_kernels("8,12", out)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert result["orders"] == [8, 12]

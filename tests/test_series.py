@@ -1,4 +1,4 @@
-"""series core: construction, ring operations, composition, calculus."""
+"""series core: construction, ring operations, composition, powers."""
 
 from fractions import Fraction as F
 
@@ -11,10 +11,8 @@ from arnold_lab.series import (
     TruncatedSeries,
     add,
     compose,
-    derive,
     divide,
     identity_series,
-    integrate,
     make_series,
     mul,
     one_series,
@@ -120,21 +118,6 @@ class TestDivide:
     def test_rejects_zero_constant(self):
         with pytest.raises(DivisionDomain):
             divide(make_series([1, 1]), make_series([0, 1]))
-
-
-class TestCalculus:
-    def test_derive(self):
-        assert derive(make_series([0, 1, 1])) == make_series([1, 2])
-
-    def test_derive_constant(self):
-        assert derive(make_series([7])) == zero_series(0)
-
-    def test_integrate(self):
-        assert integrate(make_series([1, 1])) == make_series([0, 1, F(1, 2)])
-
-    @given(series_st(max_order=10))
-    def test_round_trip(self, s):
-        assert derive(integrate(s)) == s
 
 
 class TestPowBinomial:
