@@ -13,6 +13,10 @@ runs.  The kernels are
                            oracle, imported from tests/helpers.py
   series_compose           Horner compose(tan, sin), the oracle for eval
   arnold_ratio             the limit of tan o sin against sin o tan
+  sweep_rows               the CSV text of a 3000-row sweep of tan o sin
+                           against sin o tan, x log-spaced in [0.05, 0.4]: the
+                           sweep rows per second; both SeriesFns and their
+                           inverses are built outside the timing
 
 FILE gets the times, the largest coefficient of the inverse in bits, and
 per kernel the slope of the least-squares line through
@@ -41,9 +45,11 @@ import time
 from pathlib import Path
 
 import arnold_lab
+from arnold_lab.cli import _log_spaced
 from arnold_lab.elementary import eval_text
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import arnold_ratio
+from arnold_lab.numeric import SeriesFn, sweep
 from arnold_lab.series import compose
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -53,6 +59,7 @@ LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"
                ("tan o arcsin", "arcsin o tan"), ("arctan o sin", "sin o arctan"))
 REPEATS = 3
 STARTUP_RUNS = 11
+SWEEP_XS = _log_spaced(0.05, 0.4, 3000)  # the widest grid of the series_sweep workload
 
 
 def best_cpu_seconds(run) -> float:
@@ -70,12 +77,15 @@ def kernels(order: int) -> dict:
     g = eval_text("sin o tan", order)
     tan, sin = eval_text("tan", order), eval_text("sin", order)
     texts = [text for pair in LIMIT_PAIRS for text in pair]
+    f_fn, g_fn = SeriesFn(f), SeriesFn(g)
+    f_fn.inverse(), g_fn.inverse()  # each reverts once and keeps its inverse
     return {
         "eval_text_limit_pairs": lambda: [eval_text(text, order) for text in texts],
         "compositional_inverse": lambda: compositional_inverse(f),
         "lagrange_inverse_oracle": lambda: lagrange_inverse_oracle(f),
         "series_compose": lambda: compose(tan, sin),
         "arnold_ratio": lambda: arnold_ratio(f, g),
+        "sweep_rows": lambda: "".join(sweep(f_fn, g_fn, SWEEP_XS).pieces("csv")),
     }
 
 

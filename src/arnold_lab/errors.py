@@ -5,54 +5,55 @@ Every error raised by this package derives from ArnoldLabError, so callers
 exception types.
 """
 
-from operator import attrgetter
+from operator import itemgetter
 
 
-class Record:
-    """Immutable record whose fields are the names in __slots__, in order.
+class Record(tuple):
+    """Immutable record: the tuple of the fields that _fields names, in order.
 
-    Built from every field, either all by position or all by keyword; equal
-    and hashed by exact type and field values.  Unlike dataclass(frozen=True),
-    it costs no start-up time in imports or generated code.
+    Built from every field, all by position or all by keyword; each field is
+    also a property.  Never equal to a plain tuple or another type's record.
+    Unlike dataclass(frozen=True), it costs no start-up time in imports.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # the slot descriptors' own setters bypass the frozen __setattr__
-        cls._setters = {name: cls.__dict__[name].__set__ for name in cls.__slots__}
-        cls._values = attrgetter(*cls.__slots__)
+        for k, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(k)))
 
-    def __init__(self, *args, **kwargs) -> None:
-        setters = self._setters
-        if kwargs and not args and kwargs.keys() == setters.keys():
-            args = tuple(map(kwargs.get, setters))
-        elif kwargs or len(args) != len(setters):
-            raise TypeError(f"{type(self).__name__}() takes {', '.join(setters)}, all by "
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs and not args and kwargs.keys() == set(fields):
+            args = tuple(map(kwargs.get, fields))
+        elif kwargs or len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(fields)}, all by "
                             f"position or all by keyword; got {len(args)} by position and "
                             f"{', '.join(kwargs) or 'none'} by keyword")
-        for set_field, value in zip(setters.values(), args):
-            set_field(self, value)
+        return tuple.__new__(cls, args)
 
     def _frozen(self, name: str, *value: object) -> None:
         raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
 
     __setattr__ = __delattr__ = _frozen
 
+    # a tuple subclass's reflected method runs first, so these decide tuple == record too
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values(self) == self._values(other)
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self) -> tuple:  # pickle and copy, which would assign the slots
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self) -> tuple:  # tuple's own would pass the fields as one argument
+        return type(self), tuple(self)
 
 
 class ArnoldLabError(Exception):

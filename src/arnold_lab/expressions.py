@@ -24,27 +24,27 @@ from .errors import ParseError, Record
 
 
 class Primitive(Record):
-    __slots__ = ("name",)
+    _fields = ("name",)
 
 
 class Monomial(Record):
-    __slots__ = ("coefficient", "exponent")
+    _fields = ("coefficient", "exponent")
 
 
 class Sum(Record):
-    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
 
 class Difference(Record):
-    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
 
 class Scale(Record):
-    __slots__ = ("coefficient", "child")
+    _fields = ("coefficient", "child")
 
 
 class Compose(Record):
-    __slots__ = ("outer", "inner")
+    _fields = ("outer", "inner")
 
 
 FunctionExpr = Primitive | Monomial | Sum | Difference | Scale | Compose
@@ -60,7 +60,7 @@ _LEXEME = re.compile(
 
 class _Token(Record):
     # kind is "name", "x", "int", "o", a symbol or "end"; offset is 1-based in bytes
-    __slots__ = ("kind", "text", "offset")
+    _fields = ("kind", "text", "offset")
 
 
 def _tokenize(text: str) -> list[_Token]:

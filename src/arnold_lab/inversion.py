@@ -24,7 +24,7 @@ class InverseWitness(Record):
     depends only on a_2 .. a_(n-1).
     """
 
-    __slots__ = ("inverse", "residuals")
+    _fields = ("inverse", "residuals")
 
     def to_json_dict(self, with_residuals: bool = True) -> dict:
         out = {"inverse": series_to_json(self.inverse)}

@@ -25,8 +25,8 @@ from .series import (
 class ArnoldReport(Record):
     """Everything the limit computation established, exactly."""
 
-    __slots__ = ("N", "numerator_leading", "denominator_leading", "limit",
-                 "f_inverse", "g_inverse")
+    _fields = ("N", "numerator_leading", "denominator_leading", "limit",
+               "f_inverse", "g_inverse")
 
     def to_json_dict(self) -> dict:
         return {

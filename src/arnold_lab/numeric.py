@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from itertools import islice
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import InvalidInput, Record
 
@@ -78,14 +78,14 @@ class SeriesFn:
         self.series = series
         self.label = f"series(order={series.order})"
         try:
-            self._floats = tuple(float(c) for c in series.coefficients)
+            self._horner = tuple(float(c) for c in reversed(series.coefficients))
         except OverflowError:
             raise InvalidInput("a series coefficient is too large for a double") from None
         self._inverse: SeriesFn | None = None
 
     def __call__(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self._floats):
+        for c in self._horner:
             acc = acc * x + c
         return acc
 
@@ -160,26 +160,25 @@ class GeometricSample(Record):
     log-space channel survives double-precision underflow (flag "logspace").
     """
 
-    __slots__ = ("x", "AB", "BC", "ED", "DDp", "FDp", "ratio_AB_BC", "ratio_BC_ED",
-                 "ratio_DDp_FDp", "log_ratio_DDp_FDp", "flags")
+    _fields = ("x", "AB", "BC", "ED", "DDp", "FDp", "ratio_AB_BC", "ratio_BC_ED",
+               "ratio_DDp_FDp", "log_ratio_DDp_FDp", "flags")
 
 
 # the CSV carries every field but ratio_DDp_FDp (its log column is exact
 # where the ratio overflows), then the flags joined by ";"
-CSV_COLUMNS = tuple(name for name in GeometricSample.__slots__
+CSV_COLUMNS = tuple(name for name in GeometricSample._fields
                     if name not in ("ratio_DDp_FDp", "flags"))
 CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + ",%s\n"
-_csv_cells = attrgetter(*CSV_COLUMNS)
+_csv_cells = itemgetter(*map(GeometricSample._fields.index, CSV_COLUMNS))
 
 # a JSON row as json.dumps writes it: every field in order, a finite float as
 # float.__repr__ (%r), and the flags as a list of strings
-_JSON_ROW = ", ".join(f'"{name}": %r' for name in GeometricSample.__slots__[:-1])
-_json_numbers = attrgetter(*GeometricSample.__slots__[:-1])
+_JSON_ROW = ", ".join(f'"{name}": %r' for name in GeometricSample._fields[:-1])
 
 
 def _json_row(row: GeometricSample) -> str:
-    numbers = _json_numbers(row)
+    numbers = row[:-1]
     text = _JSON_ROW % numbers
     if not math.isfinite(sum(numbers)):
         # json's NaN, Infinity and -Infinity; no field name holds "nan" or "inf"
@@ -335,7 +334,7 @@ class SweepTable(Record):
     tolerance of the inverses numeric_inverse solves there.
     """
 
-    __slots__ = ("rows", "f_label", "g_label", "bracket")
+    _fields = ("rows", "f_label", "g_label", "bracket")
 
     def pieces(self, fmt: str) -> Iterator[str]:
         """The table's text in fmt ("csv" or "json"): the header, then the

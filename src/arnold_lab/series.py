@@ -38,12 +38,12 @@ class TruncatedSeries(Record):
     Equality compares order and all coefficients.
     """
 
-    __slots__ = ("coefficients",)
+    _fields = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[Rational, ...]) -> None:
+    def __new__(cls, coefficients: tuple[Rational, ...]) -> "TruncatedSeries":
         if not coefficients:
             raise InvalidInput("a series needs at least the constant coefficient")
-        super().__init__(coefficients)
+        return super().__new__(cls, coefficients)
 
     @property
     def order(self) -> int:

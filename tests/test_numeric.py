@@ -307,7 +307,7 @@ class TestGeometricSampleGeneric:
     @staticmethod
     def assert_flagged(row, x, flag):
         assert row.x == x and row.flags == (flag,)
-        assert all(math.isnan(getattr(row, name)) for name in GeometricSample.__slots__[1:-1])
+        assert all(math.isnan(getattr(row, name)) for name in GeometricSample._fields[1:-1])
 
     def test_configuration_violated(self):
         f = SeriesFn(eval_text("x + x^2", 6))

@@ -99,7 +99,7 @@ def test_bench_kernels_small_ladder(tmp_path):
     assert result["orders"] == [8, 12]
     assert set(result["kernels"]) == {
         "eval_text_limit_pairs", "compositional_inverse", "lagrange_inverse_oracle",
-        "series_compose", "arnold_ratio",
+        "series_compose", "arnold_ratio", "sweep_rows",
     }
     for entry in result["kernels"].values():
         assert len(entry["seconds"]) == 2 and all(t > 0 for t in entry["seconds"])
