@@ -8,19 +8,22 @@ exception types.
 from operator import itemgetter
 
 
-class Record(tuple):
+class _RecordType(type):
+    # each field a read-only property, and no per-instance __dict__
+    def __new__(mcls, name, bases, namespace):
+        for k, field in enumerate(namespace.get("_fields", ())):
+            namespace[field] = property(itemgetter(k))
+        return super().__new__(mcls, name, bases, {**namespace, "__slots__": ()})
+
+
+class Record(tuple, metaclass=_RecordType):
     """Immutable record: the tuple of the fields that _fields names, in order.
 
     Built from every field, all by position or all by keyword; each field is
-    also a property.  Never equal to a plain tuple or another type's record.
+    also a property.  Never equal to a plain tuple or another type's record,
+    but ordered as a tuple, by value alone, so sort records of one type only.
     Unlike dataclass(frozen=True), it costs no start-up time in imports.
     """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        for k, name in enumerate(cls._fields):
-            setattr(cls, name, property(itemgetter(k)))
 
     def __new__(cls, *args, **kwargs):
         fields = cls._fields
@@ -31,11 +34,6 @@ class Record(tuple):
                             f"position or all by keyword; got {len(args)} by position and "
                             f"{', '.join(kwargs) or 'none'} by keyword")
         return tuple.__new__(cls, args)
-
-    def _frozen(self, name: str, *value: object) -> None:
-        raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
-
-    __setattr__ = __delattr__ = _frozen
 
     # a tuple subclass's reflected method runs first, so these decide tuple == record too
     def __eq__(self, other: object) -> bool:
