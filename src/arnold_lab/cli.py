@@ -8,6 +8,8 @@ result (a sweep where no row could be computed).
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import math
 import os
 import re
@@ -90,6 +92,8 @@ def _emit(pieces, out_path: str | None = None) -> None:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.writelines(pieces)
+        elif sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
@@ -266,22 +270,29 @@ def console_main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _Usage as exc:
-        print(f"arnold-lab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(f"error: {exc}", EXIT_USAGE)
     except ParseError as exc:
-        print(f"arnold-lab: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _report(f"parse error: {exc}", EXIT_PARSE)
     except ArnoldLabError as exc:
-        print(f"arnold-lab: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _report(f"error: {exc}", EXIT_DOMAIN)
+
+
+def _report(message: str, code: int) -> int:
+    if sys.stderr is not None:  # descriptor 2 was closed at start-up; print(file=None) is stdout
+        print(f"arnold-lab: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:
     code = console_main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:  # reported already; the exit-time flush must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # the interpreter's last collection of every loaded module's cycles is wasted work;
+    # freezing them skips only that: atexit handlers, flushes and profiler reports still run
+    gc.freeze()
     sys.exit(code)
 
 

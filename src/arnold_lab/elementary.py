@@ -2,11 +2,12 @@
 
 Each primitive is evaluated at a series h with h(0) = 0 by one O(n^2)
 recurrence from its differential equation (Brent and Kung, J. ACM 25(4),
-1978): sin h and cos h together from S' = C h' and C' = -S h', tan h =
-S / C, arctan h = integral of Q with Q (1 + h^2) = h', and arcsin h =
-integral of h' R with (1 - h^2) R' = h h' R, R(0) = 1.  At the root h is
-the series x.  Exact rationals make identities like sin^2 + cos^2 = 1
-hold with zero tolerance, good engine self-checks.
+1978): sin h and cos h together from S' = C h' and C' = -S h', tan h
+from the Riccati equation T' = h' (1 + T^2), arctan h = integral of Q
+with Q (1 + h^2) = h', and arcsin h = integral of h' R with (1 - h^2)
+R' = h h' R, R(0) = 1.  At the root h is the series x.  Exact rationals
+make identities like sin^2 + cos^2 = 1 hold with zero tolerance, good
+engine self-checks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .series import (
     Rational,
     TruncatedSeries,
     add,
-    divide,
     identity_series,
     mul,
     one_series,
@@ -41,6 +41,19 @@ def _sin_cos_at(h: TruncatedSeries) -> tuple[TruncatedSeries, TruncatedSeries]:
         s.append(Fraction(sum(d * c[k - j] for j, d in dh if j <= k), k))
         c.append(Fraction(-sum(d * s[k - j] for j, d in dh if j <= k), k))
     return TruncatedSeries(tuple(s)), TruncatedSeries(tuple(c))
+
+
+def _tan_at(h: TruncatedSeries) -> TruncatedSeries:
+    """k T_k = k h_k + sum_j j h_j P_(k-j) with P = T^2, each P_m from T_1 .. T_(m-1)."""
+    dh = [(j, j * hj) for j, hj in enumerate(h.coefficients) if hj]
+    t, square = [Fraction(0)], []
+    for k in range(1, h.order + 1):
+        m = k - 1  # P_m is the last square T_k needs; T_i T_(m-i) and T_(m-i) T_i are one product
+        pairs = 2 * sum(t[i] * t[m - i] for i in range(1, (m + 1) // 2) if t[i] and t[m - i])
+        square.append(pairs + (0 if m % 2 else t[m // 2] ** 2))
+        total = sum(d * square[k - j] for j, d in dh if j <= k and square[k - j])
+        t.append(h.coefficients[k] + total / k if total else h.coefficients[k])
+    return TruncatedSeries(tuple(t))
 
 
 def _arctan_at(h: TruncatedSeries) -> TruncatedSeries:
@@ -69,7 +82,7 @@ def _arcsin_at(h: TruncatedSeries) -> TruncatedSeries:
 _AT_SERIES: dict[str, Rule] = {
     "sin": lambda h: _sin_cos_at(h)[0],
     "cos": lambda h: _sin_cos_at(h)[1],
-    "tan": lambda h: divide(*_sin_cos_at(h)),
+    "tan": _tan_at,
     "arcsin": _arcsin_at,
     "arctan": _arctan_at,
     "id": lambda h: h,

@@ -9,6 +9,7 @@ import os
 import pathlib
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -654,6 +655,56 @@ class TestWrites:
         stderr = proc.communicate(timeout=60)[1].decode()
         _assert_write_failed(proc.returncode, stderr)
         assert "cannot write stdout" in stderr
+
+
+def _sh(command):
+    # sh closes the descriptor before exec, so Python starts with sys.stdout or sys.stderr None
+    return subprocess.run(["sh", "-c", f"{shlex.quote(sys.executable)} -m arnold_lab {command}"],
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestClosedStreams:
+    def test_closed_stdout_is_usage(self):
+        proc = _sh("eval --expr sin --order 3 >&-")
+        assert proc.returncode == 4
+        assert proc.stderr == "arnold-lab: error: cannot write stdout: Bad file descriptor\n"
+
+    def test_closed_stderr_keeps_the_exit_code(self):
+        proc = _sh("limit --f x --g x --order 3 2>&-")
+        assert proc.returncode == 3
+        assert proc.stdout == proc.stderr == ""
+
+
+# calls cli.main as the installed script does, with an exit handler registered first
+_MAIN_WITH_EXIT_HANDLER = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "from arnold_lab.cli import main\n"
+    "main()\n"
+)
+
+
+class TestExit:
+    @pytest.mark.parametrize("argv, code", [
+        (("limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "12"), 0),
+        (("limit", "--f", "x", "--g", "x", "--order", "3"), 3),
+    ], ids=("resolved", "domain-error"))
+    def test_exit_handlers_run_after_the_freeze(self, argv, code):
+        module = run_cli(*argv)
+        proc = subprocess.run([sys.executable, "-c", _MAIN_WITH_EXIT_HANDLER, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert module.returncode == proc.returncode == code
+        assert proc.stdout == module.stdout
+        assert proc.stderr == module.stderr + "frozen at exit: True\n"
+
+    def test_profiler_still_reports(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "arnold_lab", "eval", "--expr", "sin", "--order", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith('{"order": 3, ')
+        assert re.search(r"^ +\d+ function calls", proc.stdout, re.MULTILINE), proc.stdout[:500]
 
 
 class TestTopLevel:

@@ -213,14 +213,24 @@ class TestEvalOracle:
         assert calls == []
 
     def test_arctan_arcsin_take_no_division_or_binomial_power(self, monkeypatch):
+        # and tan neither: all three are their own recurrences
         originals = (series.divide, series.pow_binomial)
 
         def refuse(*args):
-            raise AssertionError("arctan and arcsin are their own recurrences")
+            raise AssertionError("tan, arctan and arcsin are their own recurrences")
 
         for module in (series, elementary):
             for name, value in list(vars(module).items()):
                 if any(value is original for original in originals):
                     monkeypatch.setattr(module, name, refuse)
-        for text in ("arcsin", "arctan", "arcsin o arctan", "arctan o arcsin"):
+        for text in ("arcsin", "arctan", "arcsin o arctan", "arctan o arcsin",
+                     "tan", "tan o sin", "sin o tan", "tan o arcsin", "arcsin o tan"):
             assert eval_text(text, 24).order == 24, text
+
+    @pytest.mark.parametrize("inner", ["x", "arcsin", "x + 1/3*x^3", "1/2*x", "x - x", "tan"])
+    def test_tan_is_sin_over_cos(self, inner):
+        for order in (0, 1, 2, 3, 7, 24, 41, 64):
+            tan = eval_text(f"tan o ({inner})", order)
+            sin, cos = eval_text(f"sin o ({inner})", order), eval_text(f"cos o ({inner})", order)
+            assert tan == series.divide(sin, cos), order
+            assert all(type(c) is F for c in tan.coefficients), order

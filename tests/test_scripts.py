@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +113,48 @@ def test_bench_kernels_small_ladder(tmp_path):
     assert 0 < startup["import_arnold_lab_cli_s"] and 0 < startup["import_arnold_lab_cli_numeric_s"]
     assert "import arnold_lab " in proc.stdout and "import arnold_lab.cli " in proc.stdout
     assert "+ numeric " in proc.stdout
+
+
+def _ab(base, change, out):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab.py"), "--base", str(base), "--change", str(change),
+         "--workload", "exact_limit", "--pairs", "1", "--seconds", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=300,
+    )
+
+
+def _benchmark_copy(tree):
+    for name in ("src", "clibench"):
+        shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".clibench"))
+    shutil.copy(ROOT / "BENCHMARK.json", tree)
+
+
+def test_ab_same_tree_on_both_sides(tmp_path):
+    for name in ("a", "b"):
+        _benchmark_copy(tmp_path / name)
+    out = tmp_path / "ab.json"
+    proc = _ab(tmp_path / "a", tmp_path / "b", out)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert (report["workload"], report["pairs"], report["seconds"]) == ("exact_limit", 1, 0)
+    assert [(run["side"], run["seed"]) for run in report["runs"]] == [("base", 1), ("change", 1)]
+    for run in report["runs"]:
+        assert run["correct"] is True and run["failed"] == 0 and run["attempted"] > 0
+    assert set(report["metrics"]) == {"cpu_p50_s", "ops_per_cpu_s", "setup_s", "peak_rss_mib"}
+    for entry in report["metrics"].values():
+        for side in ("base", "change"):
+            assert len(entry[side]["values"]) == 1
+            assert entry[side]["q1"] == entry[side]["median"] == entry[side]["q3"] > 0
+        assert sum(entry["won"].values()) <= 1
+        assert isinstance(entry["gap_exceeds_base_iqr"], bool)
+    assert "cpu_p50_s" in proc.stdout
+
+
+def test_ab_refuses_paths_of_different_length(tmp_path):
+    proc = _ab(tmp_path / "a", tmp_path / "bb", tmp_path / "ab.json")
+    assert proc.returncode == 4
+    assert "paths differ in length" in proc.stderr
+    assert not (tmp_path / "ab.json").exists()
