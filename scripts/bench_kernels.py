@@ -25,12 +25,15 @@ per kernel the slope of the least-squares line through
 FILE also gets "startup": the median CPU time (user + system, from
 os.wait4) of 11 fresh `python -c pass`, `python -c "import arnold_lab"`,
 `python -c "import arnold_lab.cli"` and `python -c "import arnold_lab.cli,
-arnold_lab.numeric"` processes, run alternately after one unrecorded run
-of each.  The children write their bytecode to a private PYTHONPYCACHEPREFIX
+arnold_lab.numeric"` processes, and of ones running cli.console_main on a
+one-point counterexample written to os.devnull, run alternately after one
+unrecorded run of each.  The children write their bytecode to a private PYTHONPYCACHEPREFIX
 in a temporary directory, with PYTHONDONTWRITEBYTECODE unset, so the
 unrecorded run fills the cache and the recorded ones read it.  Every
 subcommand pays the import of arnold_lab.cli; counterexample and sweep
-also load arnold_lab.numeric, which limit, eval and invert never do.
+also load arnold_lab.numeric, which limit, eval and invert never do.  The
+one-point counterexample adds to that the parse of its command line and
+the writing of one row.
 """
 
 import argparse
@@ -60,6 +63,11 @@ LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"
 REPEATS = 3
 STARTUP_RUNS = 11
 SWEEP_XS = _log_spaced(0.05, 0.4, 3000)  # the widest grid of the series_sweep workload
+ONE_POINT_COUNTEREXAMPLE = (
+    "import os; from arnold_lab.cli import console_main; "
+    "raise SystemExit(console_main(['counterexample', '--t-min', '0.05', '--t-max', '0.1', "
+    "'--points', '1', '--out', os.devnull]))"
+)
 
 
 def best_cpu_seconds(run) -> float:
@@ -119,7 +127,8 @@ def startup() -> dict:
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab",
              "import_arnold_lab_cli_s": "import arnold_lab.cli",
-             "import_arnold_lab_cli_numeric_s": "import arnold_lab.cli, arnold_lab.numeric"}
+             "import_arnold_lab_cli_numeric_s": "import arnold_lab.cli, arnold_lab.numeric",
+             "counterexample_one_point_s": ONE_POINT_COUNTEREXAMPLE}
     times: dict[str, list[float]] = {name: [] for name in codes}
     with tempfile.TemporaryDirectory() as cache:
         env["PYTHONPYCACHEPREFIX"] = cache
@@ -182,7 +191,8 @@ def main() -> None:
     print(f"startup: python -c pass {1e3 * start['python_pass_s']:.1f}ms, "
           f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms, "
           f"import arnold_lab.cli {1e3 * start['import_arnold_lab_cli_s']:.1f}ms, "
-          f"+ numeric {1e3 * start['import_arnold_lab_cli_numeric_s']:.1f}ms")
+          f"+ numeric {1e3 * start['import_arnold_lab_cli_numeric_s']:.1f}ms, "
+          f"one-point counterexample {1e3 * start['counterexample_one_point_s']:.1f}ms")
 
 
 if __name__ == "__main__":

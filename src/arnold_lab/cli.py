@@ -7,12 +7,10 @@ result (a sweep where no row could be computed).
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import math
 import os
-import re
 import sys
 
 # each subcommand imports the rest of what it runs, so counterexample
@@ -31,59 +29,130 @@ MAX_ORDER = 10_000
 MAX_POINTS = 1_000_000
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; remap to this tool's usage code
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+# each subcommand's help and options, flag -> the keywords of add_argument;
+# argparse's parser and the fast path of console_main are both built from it
+_OPTIONS = {
+    "eval": ("expand an expression into a series", {
+        "--expr": {"required": True},
+        "--order": {"type": int, "required": True},
+        "--format": {"choices": ("json", "text"), "default": "json"},
+    }),
+    "invert": ("compositional inverse of a series", {
+        "--expr": {},
+        "--series-json": {},
+        "--order": {"type": int},
+        "--with-residuals": {"action": "store_true", "default": False},
+    }),
+    "limit": ("exact limit of (f-g)/(g_inv-f_inv)", {
+        "--f": {"required": True},
+        "--g": {"required": True},
+        "--order": {"type": int, "required": True},
+    }),
+    "counterexample": ("sweep the flat pair toward 0", {
+        "--t-min": {"type": float, "required": True},
+        "--t-max": {"type": float, "required": True},
+        "--points": {"type": int, "required": True},
+        "--out": {},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }),
+    "sweep": ("geometric ratios of an expression pair", {
+        "--f": {"required": True},
+        "--g": {"required": True},
+        "--xs": {"help": "comma-separated, strictly decreasing"},
+        "--x-min": {"type": float},
+        "--x-max": {"type": float},
+        "--points": {"type": int},
+        "--order": {"type": int, "default": 12},
+        "--out": {},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }),
+}
+# the flags of which a subcommand takes exactly one
+_ONE_OF = {"invert": ("--expr", "--series-json")}
 
-    # argparse drops an OSError from writing --help; stdout goes through _emit instead
-    def _print_message(self, message, file=None):
-        if file is sys.stdout:
-            _emit([message])
-        else:
-            super()._print_message(message, file)
+# types.SimpleNamespace, without importing types; vars() of it is what
+# argparse's Namespace gives
+_Namespace = type(sys.implementation)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="arnold-lab", description=__doc__)
+def _fast_args(argv: list[str]):
+    """The options of COMMAND (--flag value)*, or None for argparse to parse.
+
+    It takes only exact flags, each at most once, each value converted by
+    the flag's type into its choices and not starting with "-", and every
+    required flag; a store_true flag takes no value.  Everything else,
+    help, abbreviations, --flag=value and each error, is argparse's.
+    """
+    name = argv[0] if argv else None
+    if name not in _OPTIONS:
+        return None
+    options = _OPTIONS[name][1]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if "action" in keywords:
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused like a negative one
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    one_of = _ONE_OF.get(name)
+    if one_of and sum(flag in given for flag in one_of) != 1:
+        return None
+    args = _Namespace(command=name)
+    for flag, keywords in options.items():
+        if keywords.get("required") and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
+    return args
+
+
+def _build_parser():
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on bad usage; remap to this tool's usage code
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        # argparse drops an OSError from writing --help, and leaves a failed line in
+        # stderr's buffer for the exit-time flush; both streams are written here instead
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                _emit([message])
+            else:
+                _to_stderr(message)
+
+    parser = Parser(prog="arnold-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="expand an expression into a series")
-    p_eval.add_argument("--expr", required=True)
-    p_eval.add_argument("--order", type=int, required=True)
-    p_eval.add_argument("--format", choices=("json", "text"), default="json")
-
-    p_inv = sub.add_parser("invert", help="compositional inverse of a series")
-    source = p_inv.add_mutually_exclusive_group(required=True)
-    source.add_argument("--expr")
-    source.add_argument("--series-json", dest="series_json")
-    p_inv.add_argument("--order", type=int)
-    p_inv.add_argument("--with-residuals", action="store_true")
-
-    p_lim = sub.add_parser("limit", help="exact limit of (f-g)/(g_inv-f_inv)")
-    p_lim.add_argument("--f", required=True)
-    p_lim.add_argument("--g", required=True)
-    p_lim.add_argument("--order", type=int, required=True)
-
-    p_cex = sub.add_parser("counterexample", help="sweep the flat pair toward 0")
-    p_cex.add_argument("--t-min", type=float, required=True)
-    p_cex.add_argument("--t-max", type=float, required=True)
-    p_cex.add_argument("--points", type=int, required=True)
-    p_cex.add_argument("--out")
-    p_cex.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_sweep = sub.add_parser("sweep", help="geometric ratios of an expression pair")
-    p_sweep.add_argument("--f", required=True)
-    p_sweep.add_argument("--g", required=True)
-    p_sweep.add_argument("--xs", help="comma-separated, strictly decreasing")
-    p_sweep.add_argument("--x-min", type=float)
-    p_sweep.add_argument("--x-max", type=float)
-    p_sweep.add_argument("--points", type=int)
-    p_sweep.add_argument("--order", type=int, default=12)
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name, (help_text, options) in _OPTIONS.items():
+        command = sub.add_parser(name, help=help_text)
+        one_of = _ONE_OF.get(name, ())
+        group = command.add_mutually_exclusive_group(required=True) if one_of else command
+        for flag, keywords in options.items():
+            (group if flag in one_of else command).add_argument(flag, **keywords)
     return parser
+
+
+def _parse_args(argv: list[str]):
+    """argparse's parse of argv, for what _fast_args refuses."""
+    import re
+
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-0.1,-0.2" for an option
+        if argv[k - 1] == "--xs" and re.match(r"-[0-9.]", argv[k]):
+            argv[k - 1 : k + 1] = [f"--xs={argv[k]}"]
+    return _build_parser().parse_args(argv)
 
 
 def _emit(pieces, out_path: str | None = None) -> None:
@@ -263,11 +332,8 @@ _COMMANDS = {
 
 def console_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-0.1,-0.2" for an option
-        if argv[k - 1] == "--xs" and re.match(r"-[0-9.]", argv[k]):
-            argv[k - 1 : k + 1] = [f"--xs={argv[k]}"]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _fast_args(argv) or _parse_args(argv)
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         return _report(f"error: {exc}", EXIT_USAGE)
@@ -278,9 +344,18 @@ def console_main(argv: list[str] | None = None) -> int:
 
 
 def _report(message: str, code: int) -> int:
-    if sys.stderr is not None:  # descriptor 2 was closed at start-up; print(file=None) is stdout
-        print(f"arnold-lab: {message}", file=sys.stderr)
+    _to_stderr(f"arnold-lab: {message}\n")
     return code
+
+
+def _to_stderr(text: str) -> None:
+    if sys.stderr is None:  # descriptor 2 was closed at start-up
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:  # nowhere to report it; the exit-time flush of stderr must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def main() -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from itertools import islice
-from operator import itemgetter
 
 from .errors import InvalidInput, Record
 
@@ -63,6 +62,11 @@ def q(x: float) -> float:
 def p(x: float) -> float:
     """p(x) = q(x) + theta(x): same 2-jet as q, different germ."""
     return x + x * x + theta(x)
+
+
+# base(FLAT_BRACKET) for the flat pair's two bases, which numeric_inverse tests every target against
+_P_IMAGE = (p(FLAT_BRACKET[0]), p(FLAT_BRACKET[1]))
+_Q_IMAGE = (q(FLAT_BRACKET[0]), q(FLAT_BRACKET[1]))
 
 
 class SeriesFn:
@@ -123,8 +127,8 @@ def numeric_inverse(base: Callable[[float], float], y: float) -> float:
     for one that misses the residual |base(x) - y| <= RESIDUAL_TOL * max(1, |y|)
     (a base other than p or q).
     """
-    lo, hi = FLAT_BRACKET
-    if not base(lo) <= y <= base(hi):
+    lo, hi = _P_IMAGE if base is p else _Q_IMAGE if base is q else map(base, FLAT_BRACKET)
+    if not lo <= y <= hi:
         return NAN
     v = 2.0 * y / (1.0 + math.sqrt(1.0 + 4.0 * y))
     v -= (q(v) - y) / (1.0 + 2.0 * v)
@@ -169,21 +173,33 @@ class GeometricSample(Record):
 CSV_COLUMNS = tuple(name for name in GeometricSample._fields
                     if name not in ("ratio_DDp_FDp", "flags"))
 CSV_HEADER = ",".join(CSV_COLUMNS + ("flags",))
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + ",%s\n"
-_csv_cells = itemgetter(*map(GeometricSample._fields.index, CSV_COLUMNS))
+# BC and FDp take text: FDp = BC in every sampled row, so BC is formatted once
+_TEXT_FIELDS = ("BC", "FDp")
+_CSV_ROW = ",".join("%s" if name in _TEXT_FIELDS else "%.17g" for name in CSV_COLUMNS) + ",%s\n"
 
 # a JSON row as json.dumps writes it: every field in order, a finite float as
 # float.__repr__ (%r), and the flags as a list of strings
-_JSON_ROW = ", ".join(f'"{name}": %r' for name in GeometricSample._fields[:-1])
+_JSON_ROW = ", ".join(f'"{name}": %{"s" if name in _TEXT_FIELDS else "r"}'
+                      for name in GeometricSample._fields[:-1])
+
+
+def _csv_row(row: GeometricSample) -> str:
+    x, ab, bc, ed, ddp, fdp, ratio_ab_bc, ratio_bc_ed, _, log_ratio, flags = row
+    bc_text = "%.17g" % bc
+    fdp_text = bc_text if fdp is bc else "%.17g" % fdp
+    return _CSV_ROW % (x, ab, bc_text, ed, ddp, fdp_text, ratio_ab_bc, ratio_bc_ed, log_ratio,
+                       ";".join(flags))
 
 
 def _json_row(row: GeometricSample) -> str:
-    numbers = row[:-1]
-    text = _JSON_ROW % numbers
-    if not math.isfinite(sum(numbers)):
+    x, ab, bc, ed, ddp, fdp, ratio_ab_bc, ratio_bc_ed, ratio_ddp_fdp, log_ratio, flags = row
+    bc_text = repr(bc)
+    fdp_text = bc_text if fdp is bc else repr(fdp)
+    text = _JSON_ROW % (x, ab, bc_text, ed, ddp, fdp_text, ratio_ab_bc, ratio_bc_ed,
+                        ratio_ddp_fdp, log_ratio)
+    if not math.isfinite(sum(row[:-1])):
         # json's NaN, Infinity and -Infinity; no field name holds "nan" or "inf"
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    flags = row.flags
     return "{%s, \"flags\": [%s]}" % (text, '"' + '", "'.join(flags) + '"' if flags else "")
 
 
@@ -207,13 +223,15 @@ def _counterexample_sample(x: float) -> GeometricSample:
     """
     u, v = numeric_inverse(p, x), numeric_inverse(q, x)
     log_u, log_bc, log_ed = log_theta(u), log_theta(v), log_theta(x)
-    if not all(map(math.isfinite, (log_u, log_bc, log_ed))):
+    if not (math.isfinite(log_u) and math.isfinite(log_bc) and math.isfinite(log_ed)):
         return _flagged_row(x, "unresolved")
-    ab, bc, ed = (_exp(c) for c in (log_u - math.log1p(u + v), log_bc, log_ed))
+    log_uv = math.log1p(u + v)
+    # the channels and ratio_ab_bc's exponent are at most 0 up to rounding: exp cannot overflow
+    ab, bc, ed = math.exp(log_u - log_uv), math.exp(log_bc), math.exp(log_ed)
     # "logspace" where a finite channel underflowed; constant tuples, shared by every row
     flags = ("mirrored", "logspace") if 0.0 in (ab, bc, ed) else ("mirrored",)
     # ab is 0 only where theta(u) underflowed; the term is then < 1e-300
-    ratio_ab_bc = _exp(-math.log1p(u + v) - (ab / (u * v) if ab else 0.0))
+    ratio_ab_bc = math.exp(-log_uv - (ab / (u * v) if ab else 0.0))
     log_ratio = 2.0 * math.log(x) - log_bc  # log(DDp / FDp), FDp = BC
     return GeometricSample(x, ab, bc, ed, x * x, bc, ratio_ab_bc, counterexample_ratio(v),
                            _exp(log_ratio), log_ratio, flags)
@@ -344,7 +362,7 @@ class SweepTable(Record):
         if fmt == "csv":
             yield CSV_HEADER + "\n"
             for chunk in chunks:
-                yield "".join([_CSV_ROW % (*_csv_cells(r), ";".join(r.flags)) for r in chunk])
+                yield "".join(map(_csv_row, chunk))
             return
         import json  # here, so that importing the package does not load json
 
@@ -362,7 +380,7 @@ def thread_cap() -> int:
     """1: sweeps run sequentially, and nothing in the program calls this.
 
     It stays only because clibench/spans.py wraps it by name; the benchmark
-    change of ROADMAP items 2-4 deletes it with numeric.sweep_workers.
+    change of ROADMAP item 1 deletes it with numeric.sweep_workers.
     """
     return 1
 

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from arnold_lab import numeric
+from arnold_lab import cli, numeric
 from arnold_lab.cli import console_main
 from arnold_lab.numeric import ROWS_PER_PIECE
 
@@ -640,6 +640,23 @@ class TestWrites:
         _assert_write_failed(proc.returncode, proc.stderr)
         assert "cannot write stdout" in proc.stderr
 
+    @needs_dev_full
+    @BUFFERING
+    @pytest.mark.parametrize("argv, code", [
+        (("limit", "--f", "x", "--g", "x", "--order", "3"), 3),
+        (("eval", "--expr", "sin((", "--order", "3"), 2),
+        (("limit", "--f", "x", "--g", "x"), 4),
+    ], ids=("domain-error", "parse-error", "usage-error"))
+    def test_stderr_to_full_device_keeps_the_exit_code(self, argv, code, unbuffered):
+        # the error line cannot be written, and neither can a traceback or the exit-time flush
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "arnold_lab", *argv],
+                stdout=subprocess.PIPE, stderr=full, text=True,
+                env=_child_env(unbuffered), timeout=60,
+            )
+        assert (proc.returncode, proc.stdout) == (code, "")
+
     @BUFFERING
     def test_reader_that_closes_early_is_usage(self, unbuffered):
         # 2000 rows are far more than the pipe holds, so the writer is still
@@ -705,6 +722,27 @@ class TestExit:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith('{"order": 3, ')
         assert re.search(r"^ +\d+ function calls", proc.stdout, re.MULTILINE), proc.stdout[:500]
+
+
+class TestFastPath:
+    """console_main parses a well-formed command line itself, without argparse."""
+
+    def test_readme_examples(self):
+        from test_readme import readme_commands
+
+        commands = readme_commands()
+        assert len(commands) == 8
+        for command in commands:
+            assert cli._fast_args(shlex.split(command)[1:]) is not None, command
+
+    @pytest.mark.parametrize("workload", ["exact_limit", "flat_sweep", "series_sweep"])
+    def test_benchmark_invocations(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "clibench"))
+        import workloads
+
+        for seed in (1, 2):
+            for invocation in workloads.WORKLOADS[workload](seed).round():
+                assert cli._fast_args(list(invocation.argv)) is not None, invocation.argv
 
 
 class TestTopLevel:

@@ -1,5 +1,6 @@
 """Hypothesis fuzz of the command line, in-process: whatever the argv,
-console_main ends with one of the documented exit codes, never a traceback."""
+console_main ends with one of the documented exit codes, never a traceback;
+and where its fast path parses an argv, argparse parses it the same."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arnold_lab import cli
 from arnold_lab.cli import console_main
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
@@ -126,3 +128,51 @@ def run(argv):
 @example(argv=["invert", "--series-json", '{"order": %s, "coefficients": []}' % ("1" * 5000)])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     assert run(argv) in DOCUMENTED_EXIT_CODES
+
+
+# values by the flag's type: ones that convert, and ones that are empty,
+# negative, non-numeric or, for a flag with choices, not among them
+_GOOD = {int: ["1", "3", "12", " 8", "0"], float: ["1e-6", "0.1", "0.3", "nan", "inf", "1e999"],
+         str: ["tan o sin", "x + x^2", "0.3,0.2", ""]}
+_ODD = {int: ["-3", "1.5", "", "abc", "nan"], float: ["-0.1", "-inf", "", "abc"],
+        str: ["json", "csv", "text", "-0.1,-0.2", "-", "--order"]}
+
+
+@st.composite
+def option_argvs(draw):
+    """COMMAND and its flags in any order, each required one mostly there and
+    each value mostly one its type converts; sometimes a flag repeated,
+    abbreviated or unknown, a store_true flag given a value, or the last
+    value missing."""
+    name = draw(st.sampled_from(sorted(cli._OPTIONS)))
+    options = cli._OPTIONS[name][1]
+    flags = [flag for flag in draw(st.permutations(list(options)))
+             if draw(st.integers(0, 4)) > (0 if options[flag].get("required") else 2)]
+    if draw(st.integers(0, 3)) == 0:
+        stray = draw(st.sampled_from([*options, "--ord", "--help", "-h", "--", "--order=3"]))
+        flags.insert(draw(st.integers(0, len(flags))), stray)
+    argv = [name]
+    for flag in flags:
+        argv.append(flag)
+        keywords = options.get(flag, {})
+        if "action" in keywords and draw(st.integers(0, 3)):
+            continue
+        kind = keywords.get("type", str)
+        good = keywords.get("choices") or _GOOD[kind]
+        argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else _ODD[kind])))
+    if draw(st.integers(0, 7)) == 0:
+        argv.pop()
+    return argv
+
+
+@settings(max_examples=300)
+@given(argv=option_argvs())
+@example(argv=["invert", "--expr", "x + x^2", "--order", "5", "--with-residuals"])
+@example(argv=["sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.3,0.2", "--order", " 8"])
+@example(argv=["counterexample", "--t-min", "nan", "--t-max", "1e999", "--points", "3"])
+def test_fast_path_parses_as_argparse_does(argv):
+    fast = cli._fast_args(list(argv))
+    if fast is not None:
+        parsed = cli._build_parser().parse_args(argv)
+        # repr tells NaN from NaN, and an int from an equal float
+        assert {k: repr(v) for k, v in vars(fast).items()} == {k: repr(v) for k, v in vars(parsed).items()}

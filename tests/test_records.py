@@ -36,11 +36,22 @@ def loaded_modules(code: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys; {code}; print(*sorted(sys.modules), sep='\\n')"],
+        [sys.executable, "-S", "-c", f"import sys\n{code}\nprint(*sorted(sys.modules), sep='\\n')"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def modules_after_console_main(argv: list[str], code: int = 0) -> set[str]:
+    """The modules a fresh interpreter has loaded after console_main(argv)
+    returned code, or exited with it, writing stdout and stderr to the null device."""
+    return loaded_modules(
+        "import os\nfrom arnold_lab.cli import console_main\n"
+        "sink = sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+        f"try:\n    rc = console_main({argv!r})\nexcept SystemExit as exc:\n    rc = exc.code\n"
+        f"sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\nsink.close()\nassert rc == {code}, rc"
+    )
 
 
 def test_command_line_imports_no_slow_modules():
@@ -62,12 +73,32 @@ def test_package_imports_no_submodule():
     ["invert", "--expr", "tan o sin", "--order", "8"],
 ], ids=("limit", "eval", "invert"))
 def test_exact_side_loads_no_numeric(argv):
-    # these subcommands have no --out, so stdout goes to the null device
-    loaded = loaded_modules(f"import os; from arnold_lab.cli import console_main; "
-                            f"sink = sys.stdout = open(os.devnull, 'w'); "
-                            f"rc = console_main({argv!r}); "
-                            f"sys.stdout = sys.__stdout__; sink.close(); assert rc == 0")
-    assert "arnold_lab.numeric" not in loaded
+    assert "arnold_lab.numeric" not in modules_after_console_main(argv)
+
+
+# the parser's own imports: argparse loads gettext, and gettext locale
+PARSER_IMPORTS = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "8"],
+    ["eval", "--expr", "tan o sin", "--order", "8", "--format", "text"],
+    ["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "25"],
+    ["sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.3,0.2,0.1"],
+], ids=("limit", "eval", "counterexample", "sweep"))
+def test_well_formed_command_line_loads_no_argparse(argv):
+    loaded = modules_after_console_main(argv)
+    assert loaded.isdisjoint(PARSER_IMPORTS), sorted(loaded & set(PARSER_IMPORTS))
+    if argv[0] == "counterexample":  # limit, eval and sweep parse expressions, with re
+        assert "re" not in loaded
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["limit", "--f", "x", "--g", "x"], 4),
+], ids=("help", "usage-error"))
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert "argparse" in modules_after_console_main(argv, code)
 
 
 def test_counterexample_loads_none_of_the_exact_side(tmp_path):

@@ -108,11 +108,13 @@ def test_bench_kernels_small_ladder(tmp_path):
     assert "compositional_inverse" in proc.stdout
     startup = result["startup"]
     assert set(startup) == {"clock", "bytecode", "python_pass_s", "import_arnold_lab_s",
-                            "import_arnold_lab_cli_s", "import_arnold_lab_cli_numeric_s"}
+                            "import_arnold_lab_cli_s", "import_arnold_lab_cli_numeric_s",
+                            "counterexample_one_point_s"}
     assert 0 < startup["python_pass_s"] and 0 < startup["import_arnold_lab_s"]
     assert 0 < startup["import_arnold_lab_cli_s"] and 0 < startup["import_arnold_lab_cli_numeric_s"]
+    assert 0 < startup["counterexample_one_point_s"]
     assert "import arnold_lab " in proc.stdout and "import arnold_lab.cli " in proc.stdout
-    assert "+ numeric " in proc.stdout
+    assert "+ numeric " in proc.stdout and "one-point counterexample " in proc.stdout
 
 
 def _ab(base, change, out):
