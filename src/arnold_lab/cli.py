@@ -29,8 +29,8 @@ MAX_ORDER = 10_000
 MAX_POINTS = 1_000_000
 
 
-# each subcommand's help and options, flag -> the keywords of add_argument;
-# argparse's parser and the fast path of console_main are both built from it
+# each subcommand's help and options, flag -> add_argument's keywords for it;
+# _parse reads every command line by this table, and _cmd_help prints it
 _OPTIONS = {
     "eval": ("expand an expression into a series", {
         "--expr": {"required": True},
@@ -69,90 +69,72 @@ _OPTIONS = {
 }
 # the flags of which a subcommand takes exactly one
 _ONE_OF = {"invert": ("--expr", "--series-json")}
-
-# types.SimpleNamespace, without importing types; vars() of it is what
-# argparse's Namespace gives
+_HELP = ("-h", "--help")
+# types.SimpleNamespace, without importing types
 _Namespace = type(sys.implementation)
 
 
-def _fast_args(argv: list[str]):
-    """The options of COMMAND (--flag value)*, or None for argparse to parse.
-
-    It takes only exact flags, each at most once, each value converted by
-    the flag's type into its choices and not starting with "-", and every
-    required flag; a store_true flag takes no value.  Everything else,
-    help, abbreviations, --flag=value and each error, is argparse's.
-    """
+def _parse(argv: list[str]):
+    """The namespace of COMMAND (--flag VALUE | --flag=VALUE)* by _OPTIONS: each flag
+    exact or a unique prefix, given once, its value the next token unless that is a
+    flag, even where it starts with "-".  -h or --help gives the help command's."""
     name = argv[0] if argv else None
+    if name in _HELP:
+        return _Namespace(command="help", name=None)
     if name not in _OPTIONS:
-        return None
-    options = _OPTIONS[name][1]
-    given = {}
+        raise _Usage(f"argument command: {name!r} is not one of {', '.join(_OPTIONS)}"
+                     if argv else "the following arguments are required: command")
+    options, one_of = _OPTIONS[name][1], _ONE_OF.get(name, ())
+    given, unknown = {}, []
     tokens = iter(argv[1:])
-    for flag in tokens:
-        keywords = options.get(flag)
-        if keywords is None or flag in given:
-            return None
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if flag not in options and flag not in _HELP:
+            matches = [known for known in (*options, "--help")
+                       if flag.startswith("--") and flag != "--" and known.startswith(flag)]
+            if len(matches) > 1:
+                raise _Usage(f"ambiguous option: {flag} could match {', '.join(matches)}")
+            if not matches:  # refused at the end, as a later -h or --help still counts
+                unknown.append(token)
+                continue
+            flag = matches[0]
+        if flag in _HELP:
+            return _Namespace(command="help", name=name)
+        keywords = options[flag]
+        if flag in given:
+            raise _Usage(f"argument {flag}: not allowed twice")
+        rivals = [other for other in one_of if other in given] if flag in one_of else ()
+        if rivals:
+            raise _Usage(f"argument {flag}: not allowed with argument {rivals[0]}")
         if "action" in keywords:
+            if equals:
+                raise _Usage(f"argument {flag}: ignored explicit argument {text!r}")
             given[flag] = True
             continue
-        text = next(tokens, "-")  # a missing value is refused like a negative one
-        if text.startswith("-"):
-            return None
+        if not equals:
+            text = next(tokens, None)
+            if text is None or text in options or text in _HELP:
+                raise _Usage(f"argument {flag}: expected one argument")
+        kind = keywords.get("type", str)
         try:
-            value = keywords.get("type", str)(text)
+            value = kind(text)
         except ValueError:
-            return None
+            raise _Usage(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
         if value not in keywords.get("choices", (value,)):
-            return None
+            choices = ", ".join(keywords["choices"])
+            raise _Usage(f"argument {flag}: {text!r} is not one of {choices}")
         given[flag] = value
-    one_of = _ONE_OF.get(name)
-    if one_of and sum(flag in given for flag in one_of) != 1:
-        return None
+    if unknown:
+        raise _Usage(f"unrecognized arguments: {' '.join(unknown)}")
+    if one_of and not any(flag in given for flag in one_of):
+        raise _Usage(f"one of the arguments {' '.join(one_of)} is required")
+    missing = [flag for flag in options if options[flag].get("required") and flag not in given]
+    if missing:
+        raise _Usage(f"the following arguments are required: {', '.join(missing)}")
     args = _Namespace(command=name)
     for flag, keywords in options.items():
-        if keywords.get("required") and flag not in given:
-            return None
         setattr(args, flag[2:].replace("-", "_"), given.get(flag, keywords.get("default")))
     return args
-
-
-def _build_parser():
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        # argparse exits 2 on bad usage; remap to this tool's usage code
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-        # argparse drops an OSError from writing --help, and leaves a failed line in
-        # stderr's buffer for the exit-time flush; both streams are written here instead
-        def _print_message(self, message, file=None):
-            if file is sys.stdout:
-                _emit([message])
-            else:
-                _to_stderr(message)
-
-    parser = Parser(prog="arnold-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _OPTIONS.items():
-        command = sub.add_parser(name, help=help_text)
-        one_of = _ONE_OF.get(name, ())
-        group = command.add_mutually_exclusive_group(required=True) if one_of else command
-        for flag, keywords in options.items():
-            (group if flag in one_of else command).add_argument(flag, **keywords)
-    return parser
-
-
-def _parse_args(argv: list[str]):
-    """argparse's parse of argv, for what _fast_args refuses."""
-    import re
-
-    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-0.1,-0.2" for an option
-        if argv[k - 1] == "--xs" and re.match(r"-[0-9.]", argv[k]):
-            argv[k - 1 : k + 1] = [f"--xs={argv[k]}"]
-    return _build_parser().parse_args(argv)
 
 
 def _emit(pieces, out_path: str | None = None) -> None:
@@ -202,6 +184,27 @@ def _expand(text: str, order: int):
     from .expressions import parse
 
     return eval_expr(parse(text), _order(order))
+
+
+def _cmd_help(args) -> int:
+    """Print the commands, or one command's flags, as _OPTIONS declares them."""
+    if args.name is None:
+        about, rows = __doc__.strip(), [(name, text) for name, (text, _) in _OPTIONS.items()]
+    else:
+        about, options = _OPTIONS[args.name]
+        one_of = _ONE_OF.get(args.name, ())
+        rows = []
+        for flag, keywords in options.items():
+            value = "|".join(keywords.get("choices", ())) or flag[2:].upper().replace("-", "_")
+            notes = (keywords.get("help"), keywords.get("required") and "required",
+                     flag in one_of and "exactly one of " + " and ".join(one_of),
+                     keywords.get("default") and f"default {keywords['default']}")
+            rows.append((flag if "action" in keywords else f"{flag} {value}",
+                         "; ".join(note for note in notes if note)))
+    rows.append(("-h, --help", "print this help and exit"))
+    table = "".join(f"  {left:27}{right}".rstrip() + "\n" for left, right in rows)
+    _emit([f"usage: arnold-lab {args.name or 'COMMAND'} [--flag VALUE]...\n\n{about}\n\n{table}"])
+    return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
@@ -322,6 +325,7 @@ def _order(value: int) -> int:
 
 
 _COMMANDS = {
+    "help": _cmd_help,
     "eval": _cmd_eval,
     "invert": _cmd_invert,
     "limit": _cmd_limit,
@@ -333,7 +337,7 @@ _COMMANDS = {
 def console_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _fast_args(argv) or _parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         return _report(f"error: {exc}", EXIT_USAGE)
@@ -344,18 +348,13 @@ def console_main(argv: list[str] | None = None) -> int:
 
 
 def _report(message: str, code: int) -> int:
-    _to_stderr(f"arnold-lab: {message}\n")
-    return code
-
-
-def _to_stderr(text: str) -> None:
-    if sys.stderr is None:  # descriptor 2 was closed at start-up
-        return
     try:
-        sys.stderr.write(text)
-        sys.stderr.flush()
+        if sys.stderr is not None:  # None: descriptor 2 was closed at start-up
+            sys.stderr.write(f"arnold-lab: {message}\n")
+            sys.stderr.flush()
     except OSError:  # nowhere to report it; the exit-time flush of stderr must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 def main() -> None:

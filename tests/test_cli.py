@@ -423,7 +423,7 @@ class TestSweep:
         assert proc.returncode == 0
         rows = proc.stdout.strip().split("\n")[1:]
         assert [row.split(",")[-1] for row in rows] == ["mirrored", "mirrored"]
-        # argparse alone reads a separate "-0.1,-0.2" as a flag; the spaced form prints the same
+        # a value may start with "-"; the spaced form prints the same
         for spaced in (("--xs", "-0.1,-0.2"), ("--xs", "-.1,-0.2")):
             same = run_cli(*pair, *spaced)
             assert (same.returncode, same.stdout, same.stderr) == (0, proc.stdout, ""), spaced
@@ -609,7 +609,7 @@ class TestWrites:
     @pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help"), ("counterexample", "--help")],
                              ids=("top", "sweep", "counterexample"))
     def test_help_to_full_device_is_usage(self, argv, unbuffered):
-        # argparse writes the help itself, inside parse_args
+        # the help is written through _emit, like any other output
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "arnold_lab", *argv],
@@ -725,7 +725,7 @@ class TestExit:
 
 
 class TestFastPath:
-    """console_main parses a well-formed command line itself, without argparse."""
+    """Every README example and benchmark invocation parses to its own command."""
 
     def test_readme_examples(self):
         from test_readme import readme_commands
@@ -733,7 +733,8 @@ class TestFastPath:
         commands = readme_commands()
         assert len(commands) == 8
         for command in commands:
-            assert cli._fast_args(shlex.split(command)[1:]) is not None, command
+            argv = shlex.split(command)[1:]
+            assert cli._parse(argv).command == argv[0], command
 
     @pytest.mark.parametrize("workload", ["exact_limit", "flat_sweep", "series_sweep"])
     def test_benchmark_invocations(self, workload, monkeypatch):
@@ -742,7 +743,68 @@ class TestFastPath:
 
         for seed in (1, 2):
             for invocation in workloads.WORKLOADS[workload](seed).round():
-                assert cli._fast_args(list(invocation.argv)) is not None, invocation.argv
+                argv = list(invocation.argv)
+                assert cli._parse(argv).command == argv[0], argv
+
+
+LIMIT = ("limit", "--f", "tan o sin", "--g", "sin o tan")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("frobnicate",),
+        ("--order", "3"),
+        (*LIMIT, "--order", "3", "--zzz", "1"),
+        (*LIMIT, "--order", "3", "stray"),
+        ("sweep", "--f", "x", "--g", "x", "--x", "0.1"),
+        (*LIMIT, "--order"),
+        (*LIMIT, "--order", "--f"),
+        (*LIMIT, "--order", "abc"),
+        ("counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "2.5"),
+        ("eval", "--expr", "x", "--order", "3", "--format", "csv"),
+        (*LIMIT, "--order", "3", "--order", "4"),
+        (*LIMIT, "--ord", "3", "--order=4"),
+        ("limit", "--f", "x", "--order", "3"),
+        ("invert", "--order", "3"),
+        ("invert", "--expr", "x", "--series-json", "{}"),
+        ("invert", "--expr", "x", "--order", "3", "--with-residuals=yes"),
+    ], ids=("no-command", "unknown-command", "flag-without-command", "unknown-flag",
+            "stray-token", "ambiguous-flag", "missing-value", "flag-for-value", "bad-int",
+            "bad-int-for-points", "bad-choice", "repeated-flag", "repeated-abbreviated",
+            "missing-required", "one-of-missing", "one-of-both", "store-true-with-value"))
+    def test_one_line_on_stderr(self, argv):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert proc.stderr.startswith("arnold-lab: error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("canonical, spelling", [
+        ((*LIMIT, "--order", "12"), (*LIMIT, "--order=12")),
+        ((*LIMIT, "--order", "12"), (*LIMIT, "--ord", "12")),
+        ((*LIMIT, "--order", "12"), ("limit", "--ord=12", "--g", "sin o tan", "--f=tan o sin")),
+        (("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs=-0.1,-0.2"),
+         ("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "-0.1,-0.2")),
+    ], ids=("equals", "abbreviated", "both", "dash-value"))
+    def test_spellings_print_the_same(self, canonical, spelling):
+        expected, proc = run_cli(*canonical), run_cli(*spelling)
+        assert expected.returncode == 0 and expected.stdout
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, expected.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("-h",), ("sweep", "--help"), ("invert", "-h"), ("eval", "--he"),
+        ("limit", "--f", "x", "--zzz", "--help"),
+    ], ids=("top", "top-short", "sweep", "invert", "abbreviated", "after-stray"))
+    def test_help_returns_0(self, argv):
+        code, out, err = _in_process(list(argv))
+        assert (code, err) == (0, "")
+        text = out.getvalue()
+        assert text.startswith("usage: arnold-lab ") and "-h, --help" in text
+        if argv[0].startswith("-"):
+            assert all(name in text for name in cli._OPTIONS)
+        else:
+            assert all(flag in text for flag in cli._OPTIONS[argv[0]][1])
 
 
 class TestTopLevel:

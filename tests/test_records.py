@@ -95,10 +95,16 @@ def test_well_formed_command_line_loads_no_argparse(argv):
 
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0),
+    (["sweep", "--help"], 0),
     (["limit", "--f", "x", "--g", "x"], 4),
-], ids=("help", "usage-error"))
-def test_help_and_usage_errors_load_argparse(argv, code):
-    assert "argparse" in modules_after_console_main(argv, code)
+    (["counterexample", "--help"], 0),
+    (["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "many"], 4),
+], ids=("help", "sweep-help", "usage-error", "counterexample-help", "counterexample-usage-error"))
+def test_help_and_usage_errors_load_no_argparse(argv, code):
+    loaded = modules_after_console_main(argv, code)
+    assert loaded.isdisjoint(PARSER_IMPORTS), sorted(loaded & set(PARSER_IMPORTS))
+    if argv[0] == "counterexample":
+        assert "re" not in loaded
 
 
 def test_counterexample_loads_none_of_the_exact_side(tmp_path):
