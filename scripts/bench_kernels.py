@@ -8,10 +8,7 @@ runs.  The kernels are
 
   eval_text_limit_pairs    eval_text of both sides of the four limit pairs
                            the benchmark's exact_limit workload runs
-  compositional_inverse    reversion of tan o sin, the production route
-  lagrange_inverse_oracle  reversion of tan o sin, the Lagrange oracle: a test
-                           oracle, imported from tests/helpers.py
-  series_compose           Horner compose(tan, sin), the oracle for eval
+  compositional_inverse    reversion of tan o sin
   arnold_ratio             the limit of tan o sin against sin o tan
   sweep_rows               the CSV text of a 3000-row sweep of tan o sin
                            against sin o tan, x log-spaced in [0.05, 0.4]: the
@@ -45,7 +42,6 @@ import statistics
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 import arnold_lab
 from arnold_lab.cli import _log_spaced
@@ -53,10 +49,6 @@ from arnold_lab.elementary import eval_text
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import arnold_ratio
 from arnold_lab.numeric import SeriesFn, sweep
-from arnold_lab.series import compose
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from helpers import lagrange_inverse_oracle  # noqa: E402  (the tests' oracle)
 
 LIMIT_PAIRS = (("tan o sin", "sin o tan"), ("arcsin o arctan", "arctan o arcsin"),
                ("tan o arcsin", "arcsin o tan"), ("arctan o sin", "sin o arctan"))
@@ -83,15 +75,12 @@ def kernels(order: int) -> dict:
     """Each kernel as a call with its inputs built outside the timing."""
     f = eval_text("tan o sin", order)
     g = eval_text("sin o tan", order)
-    tan, sin = eval_text("tan", order), eval_text("sin", order)
     texts = [text for pair in LIMIT_PAIRS for text in pair]
     f_fn, g_fn = SeriesFn(f), SeriesFn(g)
     f_fn.inverse(), g_fn.inverse()  # each reverts once and keeps its inverse
     return {
         "eval_text_limit_pairs": lambda: [eval_text(text, order) for text in texts],
         "compositional_inverse": lambda: compositional_inverse(f),
-        "lagrange_inverse_oracle": lambda: lagrange_inverse_oracle(f),
-        "series_compose": lambda: compose(tan, sin),
         "arnold_ratio": lambda: arnold_ratio(f, g),
         "sweep_rows": lambda: "".join(sweep(f_fn, g_fn, SWEEP_XS).pieces("csv")),
     }

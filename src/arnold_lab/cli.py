@@ -38,10 +38,9 @@ _OPTIONS = {
         "--format": {"choices": ("json", "text"), "default": "json"},
     }),
     "invert": ("compositional inverse of a series", {
-        "--expr": {},
-        "--series-json": {},
+        "--expr": {"help": "exactly one of --expr and --series-json"},
+        "--series-json": {"help": "exactly one of --expr and --series-json"},
         "--order": {"type": int},
-        "--with-residuals": {"action": "store_true", "default": False},
     }),
     "limit": ("exact limit of (f-g)/(g_inv-f_inv)", {
         "--f": {"required": True},
@@ -67,8 +66,6 @@ _OPTIONS = {
         "--format": {"choices": ("csv", "json"), "default": "csv"},
     }),
 }
-# the flags of which a subcommand takes exactly one
-_ONE_OF = {"invert": ("--expr", "--series-json")}
 _HELP = ("-h", "--help")
 # types.SimpleNamespace, without importing types
 _Namespace = type(sys.implementation)
@@ -84,7 +81,7 @@ def _parse(argv: list[str]):
     if name not in _OPTIONS:
         raise _Usage(f"argument command: {name!r} is not one of {', '.join(_OPTIONS)}"
                      if argv else "the following arguments are required: command")
-    options, one_of = _OPTIONS[name][1], _ONE_OF.get(name, ())
+    options = _OPTIONS[name][1]
     given, unknown = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -103,14 +100,6 @@ def _parse(argv: list[str]):
         keywords = options[flag]
         if flag in given:
             raise _Usage(f"argument {flag}: not allowed twice")
-        rivals = [other for other in one_of if other in given] if flag in one_of else ()
-        if rivals:
-            raise _Usage(f"argument {flag}: not allowed with argument {rivals[0]}")
-        if "action" in keywords:
-            if equals:
-                raise _Usage(f"argument {flag}: ignored explicit argument {text!r}")
-            given[flag] = True
-            continue
         if not equals:
             text = next(tokens, None)
             if text is None or text in options or text in _HELP:
@@ -126,8 +115,6 @@ def _parse(argv: list[str]):
         given[flag] = value
     if unknown:
         raise _Usage(f"unrecognized arguments: {' '.join(unknown)}")
-    if one_of and not any(flag in given for flag in one_of):
-        raise _Usage(f"one of the arguments {' '.join(one_of)} is required")
     missing = [flag for flag in options if options[flag].get("required") and flag not in given]
     if missing:
         raise _Usage(f"the following arguments are required: {', '.join(missing)}")
@@ -192,15 +179,12 @@ def _cmd_help(args) -> int:
         about, rows = __doc__.strip(), [(name, text) for name, (text, _) in _OPTIONS.items()]
     else:
         about, options = _OPTIONS[args.name]
-        one_of = _ONE_OF.get(args.name, ())
         rows = []
         for flag, keywords in options.items():
             value = "|".join(keywords.get("choices", ())) or flag[2:].upper().replace("-", "_")
             notes = (keywords.get("help"), keywords.get("required") and "required",
-                     flag in one_of and "exactly one of " + " and ".join(one_of),
                      keywords.get("default") and f"default {keywords['default']}")
-            rows.append((flag if "action" in keywords else f"{flag} {value}",
-                         "; ".join(note for note in notes if note)))
+            rows.append((f"{flag} {value}", "; ".join(note for note in notes if note)))
     rows.append(("-h, --help", "print this help and exit"))
     table = "".join(f"  {left:27}{right}".rstrip() + "\n" for left, right in rows)
     _emit([f"usage: arnold-lab {args.name or 'COMMAND'} [--flag VALUE]...\n\n{about}\n\n{table}"])
@@ -224,6 +208,9 @@ def _cmd_invert(args) -> int:
     from .inversion import compositional_inverse
     from .series import series_from_json
 
+    if (args.expr is None) == (args.series_json is None):
+        raise _Usage("one of the arguments --expr --series-json is required" if args.expr is None
+                     else "argument --series-json: not allowed with argument --expr")
     if args.expr is not None:
         if args.order is None:
             raise _Usage("--order is required with --expr")
@@ -242,7 +229,7 @@ def _cmd_invert(args) -> int:
                 )
             series = series.truncate(_order(args.order))
     witness = compositional_inverse(series)
-    _emit([json.dumps(witness.to_json_dict(with_residuals=args.with_residuals)) + "\n"])
+    _emit([json.dumps(witness.to_json_dict()) + "\n"])
     return EXIT_OK
 
 

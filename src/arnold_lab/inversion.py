@@ -26,11 +26,9 @@ class InverseWitness(Record):
 
     _fields = ("inverse", "residuals")
 
-    def to_json_dict(self, with_residuals: bool = True) -> dict:
-        out = {"inverse": series_to_json(self.inverse)}
-        if with_residuals:
-            out["residuals"] = [rational_to_json(r) for r in self.residuals]
-        return out
+    def to_json_dict(self) -> dict:
+        return {"inverse": series_to_json(self.inverse),
+                "residuals": [rational_to_json(r) for r in self.residuals]}
 
 
 def _check_invertible(f: TruncatedSeries) -> Rational:

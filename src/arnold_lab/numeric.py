@@ -398,8 +398,9 @@ def sweep(
     table's rows are read; each pass over table.rows computes them again.
 
     What concerns the whole table raises here, before any row: a grid that
-    is empty, holds a NaN or is not strictly decreasing, and an f or g
-    without an inverse.
+    is empty, holds a NaN or is not strictly decreasing, an f or g
+    without an inverse, and a pair that is neither the flat pair, whose
+    inverses are p and q, nor two callables.
     What concerns one row is its flag, which geometric_sample returns and
     never raises, so that a table written while its rows are computed never
     stops half way.
@@ -410,7 +411,9 @@ def sweep(
     # a > b is false wherever a NaN stands, so only a lone NaN needs its own test
     if not all(a > b for a, b in zip(xs, xs[1:])) or math.isnan(xs[0]):
         raise InvalidInput("sweep abscissas must be strictly decreasing")
-    f.inverse(), g.inverse()  # a SeriesFn reverts once, here, and keeps the inverse
+    # a SeriesFn reverts once, here, and keeps the inverse
+    if (f.inverse(), g.inverse()) != (p, q) and not (callable(f) and callable(g)):
+        raise InvalidInput(f"sweep cannot sample {f.label} against {g.label}")
 
     def row(x: float) -> GeometricSample:
         return geometric_sample(f, g, x)  # looked up per row, so a wrapped one is seen

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from arnold_lab.errors import UnknownFunction
 from arnold_lab.expressions import (
@@ -152,6 +152,58 @@ def lagrange_inverse_oracle(f: TruncatedSeries) -> TruncatedSeries:
         powered = pow_binomial(h_norm.truncate(n - 1), -n)
         b.append(powered.coefficients[n - 1] / (n * a1**n))
     return TruncatedSeries(tuple(b))
+
+
+# a small polynomial ring over the integers in the indeterminates a_2 .. a_10:
+# a dict from exponent tuples (the exponent of a_k at index k - 2) to nonzero ints
+GENERIC_ORDER = 10
+
+
+def poly_var(k: int) -> dict:
+    """The indeterminate a_k, for 2 <= k <= GENERIC_ORDER."""
+    return {tuple(int(i == k - 2) for i in range(GENERIC_ORDER - 1)): 1}
+
+
+def poly_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            key = tuple(i + j for i, j in zip(e, f))
+            out[key] = out.get(key, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_value(p: dict, a) -> Fraction:
+    """p at a_k = a[k]."""
+    return sum((c * prod(a[k] ** n for k, n in enumerate(e, 2)) for e, c in p.items()), Fraction(0))
+
+
+def generic_inverse() -> list[dict]:
+    """b_0 .. b_GENERIC_ORDER, the inverse of x + a_2 x^2 + ... + a_10 x^10 as
+    polynomials in a_2 .. a_10: the triangular system [x^n] f(b) = 0 solved for
+    b_n = -sum_{k=2..n} a_k [x^n] b^k, with b_1 = 1.  Column n of b^k is
+    sum_j b_j [x^(n-j)] b^(k-1), which for k >= 2 needs b_1 .. b_(n-1) only."""
+    one = {(0,) * (GENERIC_ORDER - 1): 1}
+    b = [{}, one]
+    powers = [None, b]  # powers[k][m] = [x^m] b^k
+    for n in range(2, GENERIC_ORDER + 1):
+        powers.append([{}] * n)  # b^n starts at x^n
+        total = {}
+        for k in range(2, n + 1):
+            column = {}
+            for j in range(1, n - k + 2):
+                column = poly_add(column, poly_mul(b[j], powers[k - 1][n - j]))
+            powers[k].append(column)
+            total = poly_add(total, poly_mul(poly_var(k), column))
+        b.append({e: -c for e, c in total.items()})
+    return b
 
 
 # rendering; parse(render(ast)) is structurally equal to ast for any

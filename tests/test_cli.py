@@ -106,12 +106,17 @@ class TestInvert:
         payload = json.loads(proc.stdout)
         nums = [c["num"] for c in payload["inverse"]["coefficients"]]
         assert nums == ["0", "1", "-1", "2", "-5", "14"]
-        assert "residuals" not in payload
+        assert [c["num"] for c in payload["residuals"]] == ["0", "2", "-5", "14"]
 
     def test_with_residuals(self):
-        proc = run_cli("invert", "--expr", "x + x^2", "--order", "4", "--with-residuals")
+        # residuals are always printed, and the flag that once asked for them is gone
+        proc = run_cli("invert", "--expr", "x + x^2", "--order", "4")
         payload = json.loads(proc.stdout)
         assert [c["num"] for c in payload["residuals"]] == ["0", "2", "-5"]
+        for flag in ("--with-residuals", "--with-residuals=yes"):
+            proc = run_cli("invert", "--expr", "x + x^2", "--order", "4", flag)
+            assert (proc.returncode, proc.stdout) == (4, "")
+            assert proc.stderr == f"arnold-lab: error: unrecognized arguments: {flag}\n"
 
     def test_not_invertible_exit_3(self):
         proc = run_cli("invert", "--expr", "x^2", "--order", "5")
@@ -731,7 +736,7 @@ class TestFastPath:
         from test_readme import readme_commands
 
         commands = readme_commands()
-        assert len(commands) == 8
+        assert len(commands) == 7
         for command in commands:
             argv = shlex.split(command)[1:]
             assert cli._parse(argv).command == argv[0], command
@@ -772,7 +777,7 @@ class TestUsageErrors:
     ], ids=("no-command", "unknown-command", "flag-without-command", "unknown-flag",
             "stray-token", "ambiguous-flag", "missing-value", "flag-for-value", "bad-int",
             "bad-int-for-points", "bad-choice", "repeated-flag", "repeated-abbreviated",
-            "missing-required", "one-of-missing", "one-of-both", "store-true-with-value"))
+            "missing-required", "one-of-missing", "one-of-both", "unknown-flag-with-value"))
     def test_one_line_on_stderr(self, argv):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr

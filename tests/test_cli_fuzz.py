@@ -89,7 +89,7 @@ argvs = st.one_of(
             maybe(flag("--format", formats))),
     command(st.just(["invert"]),
             st.one_of(flag("--expr", expressions), flag("--series-json", series_blobs)),
-            maybe(flag("--order", orders)), maybe(st.just(["--with-residuals"]))),
+            maybe(flag("--order", orders))),
     command(st.just(["limit"]), flag("--f", expressions), flag("--g", expressions),
             flag("--order", orders)),
     command(st.just(["counterexample"]), flag("--t-min", reals), flag("--t-max", reals),
@@ -145,8 +145,7 @@ _ODD = {int: ["-3", "1.5", "", "abc", "nan"], float: ["-0.1", "-inf", "", "abc"]
 def option_argvs(draw):
     """COMMAND and its flags in any order, each required one mostly there and
     each value mostly one its type converts; sometimes a flag repeated,
-    abbreviated or unknown, a store_true flag given a value, or the last
-    value missing."""
+    abbreviated or unknown, or the last value missing."""
     name = draw(st.sampled_from(sorted(cli._OPTIONS)))
     options = cli._OPTIONS[name][1]
     flags = [flag for flag in draw(st.permutations(list(options)))
@@ -158,8 +157,6 @@ def option_argvs(draw):
     for flag in flags:
         argv.append(flag)
         keywords = options.get(flag, {})
-        if "action" in keywords and draw(st.integers(0, 3)):
-            continue
         kind = keywords.get("type", str)
         good = keywords.get("choices") or _GOOD[kind]
         argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else _ODD[kind])))
@@ -174,7 +171,7 @@ class Refused(Exception):
 
 @functools.cache
 def reference_parser():
-    """argparse's parser of the command line, from cli._OPTIONS and cli._ONE_OF."""
+    """argparse's parser of the command line, from cli._OPTIONS."""
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -184,10 +181,8 @@ def reference_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options) in cli._OPTIONS.items():
         command = sub.add_parser(name, help=help_text)
-        one_of = cli._ONE_OF.get(name, ())
-        group = command.add_mutually_exclusive_group(required=True) if one_of else command
         for flag, keywords in options.items():
-            (group if flag in one_of else command).add_argument(flag, **keywords)
+            command.add_argument(flag, **keywords)
     return parser
 
 

@@ -67,7 +67,6 @@ class TestExamples:
         full = w.to_json_dict()
         assert set(full) == {"inverse", "residuals"}
         assert full["residuals"] == [{"num": "0", "den": "1"}]
-        assert set(w.to_json_dict(with_residuals=False)) == {"inverse"}
 
 
 class TestProperties:

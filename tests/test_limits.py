@@ -1,5 +1,8 @@
 """The exact limit computation and its report."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as F
 
@@ -7,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arnold_lab.cli import console_main
 from arnold_lab.elementary import eval_text
 from arnold_lab.errors import ConditionViolated, IndistinguishableToOrder
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import ArnoldReport, arnold_ratio
-from arnold_lab.series import make_series, sub, valuation
-from helpers import random_tangent_pair
+from arnold_lab.series import make_series, series_to_json, sub, valuation
+from helpers import (
+    GENERIC_ORDER,
+    generic_inverse,
+    poly_add,
+    poly_value,
+    poly_var,
+    random_tangent_pair,
+    random_tangent_series,
+)
 
 
 class TestFirstDivergence:
@@ -124,3 +136,39 @@ class TestLemmaIdentity:
         n = valuation(sub(f, g))
         f_residuals = compositional_inverse(f).residuals
         assert f_residuals[n - 2] == compositional_inverse(g).residuals[n - 2]
+
+
+class TestLemmaGeneric:
+    """The lemma as the paper states it, over indeterminate coefficients: with
+    a_1 = 1, b_n = -a_n + P_n(a_2, .., a_(n-1)), P_n weighted-homogeneous of
+    weight n - 1 when a_k weighs k - 1."""
+
+    B = generic_inverse()
+
+    def test_residual_is_a_polynomial_in_the_earlier_coefficients(self):
+        for n in range(2, GENERIC_ORDER + 1):
+            residual = poly_add(self.B[n], poly_var(n))
+            for exponents in residual:
+                assert not any(exponents[n - 2:]), (n, exponents)
+                assert sum((k - 1) * e for k, e in enumerate(exponents, 2)) == n - 1, (n, exponents)
+        # one monomial per partition of 9 into parts below 9
+        assert len(poly_add(self.B[10], poly_var(10))) == 29
+
+    def test_substituted_it_is_the_reversion(self):
+        rng = random.Random(2024)
+        for _ in range(20):
+            f = random_tangent_series(rng, order=GENERIC_ORDER)
+            a = f.coefficients
+            witness = compositional_inverse(f)
+            for n in range(2, GENERIC_ORDER + 1):
+                assert poly_value(self.B[n], a) == witness.inverse.coefficients[n], (f, n)
+                assert poly_value(poly_add(self.B[n], poly_var(n)), a) == witness.residuals[n - 2]
+
+    def test_invert_prints_the_residuals(self):
+        f = random_tangent_series(random.Random(31), order=GENERIC_ORDER)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert console_main(["invert", "--series-json", json.dumps(series_to_json(f))]) == 0
+        printed = [F(int(r["num"]), int(r["den"])) for r in json.loads(out.getvalue())["residuals"]]
+        assert printed == [poly_value(poly_add(self.B[n], poly_var(n)), f.coefficients)
+                           for n in range(2, GENERIC_ORDER + 1)]

@@ -424,6 +424,15 @@ class TestSweep:
             with pytest.raises(InvalidInput, match="strictly decreasing"):
                 sweep(f, g, xs)
 
+    def test_pair_it_cannot_sample_is_refused_before_any_row(self):
+        # only the flat pair or two callables yield rows; any other pair would
+        # raise from each row as it is read, so sweep refuses it up front
+        series = SeriesFn(eval_text("sin", 12))
+        for f, g in [(InverseFn(q), InverseFn(p)), (InverseFn(p), series),
+                     (series, InverseFn(q)), (InverseFn(p), InverseFn(p))]:
+            with pytest.raises(InvalidInput, match="cannot sample"):
+                sweep(f, g, [0.1, 0.05])
+
     def test_counterexample_trend(self):
         table = counterexample_sweep([0.1, 0.01, 0.001, 0.0001])
         ratios = [r.ratio_BC_ED for r in table.rows]

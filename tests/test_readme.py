@@ -36,10 +36,6 @@ PINS = {
         EMPTY,
     ),
     'arnold-lab invert --expr "x + x^2" --order 5': (
-        0, "416b6b874a8777954448ac044a4190528bf08ae4bbde6b84bec3f6a93bfc4df5",
-        EMPTY,
-    ),
-    'arnold-lab invert --expr "x + x^2" --order 5 --with-residuals': (
         0, "2d46e063ab506b23343fa90b1dbda0efe39706331ebfd41a2a4386af9732b92b",
         EMPTY,
     ),
@@ -93,7 +89,7 @@ def run(command: str) -> tuple[int, str, str]:
 
 
 def test_readme_has_examples():
-    assert len(readme_commands()) >= 8
+    assert len(readme_commands()) >= 7
 
 
 @pytest.mark.parametrize("command", readme_commands())
