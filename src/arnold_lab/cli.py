@@ -27,6 +27,8 @@ EXIT_EMPTY = 5
 MAX_ORDER = 10_000
 # the largest --points accepted; a table that long peaks at about 0.1 GiB
 MAX_POINTS = 1_000_000
+# the flags _parse holds to 1 <= value <= bound, as it reads them
+_BOUNDS = {"--order": MAX_ORDER, "--points": MAX_POINTS}
 
 
 # each subcommand's help and options, flag -> add_argument's keywords for it;
@@ -112,6 +114,9 @@ def _parse(argv: list[str]):
         if value not in keywords.get("choices", (value,)):
             choices = ", ".join(keywords["choices"])
             raise _Usage(f"argument {flag}: {text!r} is not one of {choices}")
+        bound = _BOUNDS.get(flag)
+        if bound and not 1 <= value <= bound:
+            raise _Usage(f"{flag} must be >= 1" if value < 1 else f"{flag} must be <= {bound}")
         given[flag] = value
     if unknown:
         raise _Usage(f"unrecognized arguments: {' '.join(unknown)}")
@@ -150,7 +155,7 @@ def _series_text(series) -> str:
 
 def _log_spaced(lo: float, hi: float, points: int) -> list[float]:
     """points values from hi down to lo, uniform in log."""
-    if _count(points, "--points", MAX_POINTS) == 1:
+    if points == 1:
         return [hi]
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     values = [math.exp(math.log(hi) - k * step) for k in range(points)]
@@ -158,19 +163,13 @@ def _log_spaced(lo: float, hi: float, points: int) -> list[float]:
     return values
 
 
-def _falling(xs: list[float], lo: float, hi: float, points: int) -> None:
-    # a grid of distinct values can still round to a repeated abscissa
+# a grid of distinct values can still round to a repeated abscissa
+_REPEATS = "--points %d over [%r, %r] repeats an abscissa; use fewer points or a wider range"
+
+
+def _falling(xs: list[float], problem: str) -> None:
     if any(a <= b for a, b in zip(xs, xs[1:])):
-        raise _Usage(f"--points {points} over [{lo!r}, {hi!r}] repeats an abscissa; "
-                     "use fewer points or a wider range")
-
-
-def _expand(text: str, order: int):
-    """The series of an expression, its order checked after the parse."""
-    from .elementary import eval_expr
-    from .expressions import parse
-
-    return eval_expr(parse(text), _order(order))
+        raise _Usage(problem)
 
 
 def _cmd_help(args) -> int:
@@ -194,9 +193,10 @@ def _cmd_help(args) -> int:
 def _cmd_eval(args) -> int:
     import json
 
+    from .elementary import eval_text
     from .series import series_to_json
 
-    series = _expand(args.expr, args.order)
+    series = eval_text(args.expr, args.order)
     text = json.dumps(series_to_json(series)) if args.format == "json" else _series_text(series)
     _emit([text + "\n"])
     return EXIT_OK
@@ -205,6 +205,7 @@ def _cmd_eval(args) -> int:
 def _cmd_invert(args) -> int:
     import json
 
+    from .elementary import eval_text
     from .inversion import compositional_inverse
     from .series import series_from_json
 
@@ -214,7 +215,7 @@ def _cmd_invert(args) -> int:
     if args.expr is not None:
         if args.order is None:
             raise _Usage("--order is required with --expr")
-        series = _expand(args.expr, args.order)
+        series = eval_text(args.expr, args.order)
     else:
         try:
             obj = json.loads(args.series_json)
@@ -224,10 +225,8 @@ def _cmd_invert(args) -> int:
         series = series_from_json(obj)
         if args.order is not None:
             if args.order > series.order:
-                raise _Usage(
-                    f"--order {args.order} exceeds the series order {series.order}"
-                )
-            series = series.truncate(_order(args.order))
+                raise _Usage(f"--order {args.order} exceeds the series order {series.order}")
+            series = series.truncate(args.order)
     witness = compositional_inverse(series)
     _emit([json.dumps(witness.to_json_dict()) + "\n"])
     return EXIT_OK
@@ -236,10 +235,10 @@ def _cmd_invert(args) -> int:
 def _cmd_limit(args) -> int:
     import json
 
+    from .elementary import eval_text
     from .limits import arnold_ratio
 
-    order = _order(args.order)
-    report = arnold_ratio(_expand(args.f, order), _expand(args.g, order))
+    report = arnold_ratio(eval_text(args.f, args.order), eval_text(args.g, args.order))
     _emit([json.dumps(report.to_json_dict()) + "\n"])
     return EXIT_OK
 
@@ -255,7 +254,7 @@ def _cmd_counterexample(args) -> int:
         # -1/t must stay finite for every root the inverse can round t to
         raise _Usage(f"need --t-min >= {sys.float_info.min!r}, the smallest normal double")
     xs = [numeric.q(t) for t in _log_spaced(t_min, t_max, points)]
-    _falling(xs, t_min, t_max, points)
+    _falling(xs, _REPEATS % (points, t_min, t_max))
     table = numeric.sweep(*numeric.counterexample_pair(), xs)
     _emit(table.pieces(args.format), args.out)
     return EXIT_OK
@@ -263,10 +262,10 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from . import numeric
+    from .elementary import eval_text
 
-    order = _order(args.order)
-    f = numeric.SeriesFn(_expand(args.f, order))
-    g = numeric.SeriesFn(_expand(args.g, order))
+    f = numeric.SeriesFn(eval_text(args.f, args.order))
+    g = numeric.SeriesFn(eval_text(args.g, args.order))
     if args.xs is not None:
         if (args.x_min, args.x_max, args.points) != (None, None, None):
             raise _Usage("--xs excludes --x-min, --x-max and --points")
@@ -278,13 +277,14 @@ def _cmd_sweep(args) -> int:
             raise _Usage("--xs is empty")
         if not all(math.isfinite(x) for x in xs):
             raise _Usage("--xs values must be finite")
+        _falling(xs, "--xs must be strictly decreasing")
     else:
         if args.x_min is None or args.x_max is None or args.points is None:
             raise _Usage("need --xs or all of --x-min/--x-max/--points")
         if not 0.0 < args.x_min < args.x_max < math.inf:
             raise _Usage("need 0 < --x-min < --x-max < inf")
         xs = _log_spaced(args.x_min, args.x_max, args.points)
-        _falling(xs, args.x_min, args.x_max, args.points)
+        _falling(xs, _REPEATS % (args.points, args.x_min, args.x_max))
     table = numeric.sweep(f, g, xs)
     kinds = set()  # the distinct flags, noted in the one pass that computes and writes the rows
     rows = map(lambda row: kinds.add(row.flags) or row, table.rows)
@@ -297,18 +297,6 @@ def _cmd_sweep(args) -> int:
 
 class _Usage(Exception):
     pass
-
-
-def _count(value: int, flag: str, bound: int) -> int:
-    if value < 1:
-        raise _Usage(f"{flag} must be >= 1")
-    if value > bound:
-        raise _Usage(f"{flag} must be <= {bound}")
-    return value
-
-
-def _order(value: int) -> int:
-    return _count(value, "--order", MAX_ORDER)
 
 
 _COMMANDS = {

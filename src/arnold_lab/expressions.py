@@ -1,4 +1,4 @@
-"""Parser and printer for the little function-expression language.
+"""Parser for the little function-expression language.
 
 Grammar (whitespace-insensitive):
 

@@ -364,13 +364,11 @@ class SweepTable(Record):
             for chunk in chunks:
                 yield "".join(map(_csv_row, chunk))
             return
-        import json  # here, so that importing the package does not load json
-
-        bracket = self.bracket
-        yield json.dumps({"metadata": {"f": self.f_label, "g": self.g_label,
-                                       "bracket": list(bracket) if bracket else None,
-                                       "tol": RESIDUAL_TOL if bracket else None},
-                          "rows": []})[:-2]  # up to and including the rows' "["
+        # json.dumps's text up to the rows' "[": the labels are generated ASCII with no
+        # quote or backslash, and json writes a finite float as float.__repr__ (%r)
+        head = '{"metadata": {"f": "%s", "g": "%s", "bracket": %s, "tol": %s}, "rows": ['
+        limits = ("[%r, %r]" % self.bracket, repr(RESIDUAL_TOL)) if self.bracket else ("null",) * 2
+        yield head % (self.f_label, self.g_label, *limits)
         for k, chunk in enumerate(chunks):
             yield (", " if k else "") + ", ".join(map(_json_row, chunk))
         yield "]}\n"

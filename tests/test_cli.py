@@ -465,8 +465,10 @@ class TestSweep:
         assert "--points 5 over [0.1, 0.1000000000000001]" in proc.stderr
 
     def test_increasing_xs_rejected(self):
-        proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.1,0.2")
-        assert proc.returncode == 3
+        for xs in ("0.1,0.2", "0.1,0.1"):  # a repeated value too, as a --points grid's is
+            proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", xs)
+            assert (proc.returncode, proc.stdout) == (4, ""), xs
+            assert proc.stderr == "arnold-lab: error: --xs must be strictly decreasing\n", xs
 
     def test_parse_error_in_g(self):
         proc = run_cli("sweep", "--f", "x + x^2", "--g", "tan o", "--xs", "0.1")
@@ -774,10 +776,15 @@ class TestUsageErrors:
         ("invert", "--order", "3"),
         ("invert", "--expr", "x", "--series-json", "{}"),
         ("invert", "--expr", "x", "--order", "3", "--with-residuals=yes"),
+        # a bound is checked as its flag is read: before the parse error, and before -h
+        ("eval", "--expr", "sin((", "--order", "0"),
+        ("invert", "--expr", "sin((", "--order", "0"),
+        ("eval", "--expr", "x", "--order", "0", "--help"),
     ], ids=("no-command", "unknown-command", "flag-without-command", "unknown-flag",
             "stray-token", "ambiguous-flag", "missing-value", "flag-for-value", "bad-int",
             "bad-int-for-points", "bad-choice", "repeated-flag", "repeated-abbreviated",
-            "missing-required", "one-of-missing", "one-of-both", "unknown-flag-with-value"))
+            "missing-required", "one-of-missing", "one-of-both", "unknown-flag-with-value",
+            "order-before-parse-error", "order-before-invert-parse-error", "order-before-help"))
     def test_one_line_on_stderr(self, argv):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr

@@ -137,7 +137,8 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
 # negative, non-numeric or, for a flag with choices, not among them
 _GOOD = {int: ["1", "3", "12", " 8", "0"], float: ["1e-6", "0.1", "0.3", "nan", "inf", "1e999"],
          str: ["tan o sin", "x + x^2", "0.3,0.2", ""]}
-_ODD = {int: ["-3", "1.5", "", "abc", "nan"], float: ["-0.1", "-inf", "", "abc"],
+_ODD = {int: ["-3", "1.5", "", "abc", "nan", "10001", "1000001"],
+        float: ["-0.1", "-inf", "", "abc"],
         str: ["json", "csv", "text", "-0.1,-0.2", "-", "--order"]}
 
 
@@ -169,9 +170,21 @@ class Refused(Exception):
     pass
 
 
+def bounded(flag, bound):
+    """argparse's type for a flag of cli._BOUNDS: an int in 1..bound."""
+
+    def convert(text):
+        value = int(text)
+        if not 1 <= value <= bound:
+            raise argparse.ArgumentTypeError(f"{flag} must be in 1..{bound}")
+        return value
+
+    return convert
+
+
 @functools.cache
 def reference_parser():
-    """argparse's parser of the command line, from cli._OPTIONS."""
+    """argparse's parser of the command line, from cli._OPTIONS and cli._BOUNDS."""
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -182,6 +195,8 @@ def reference_parser():
     for name, (help_text, options) in cli._OPTIONS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, keywords in options.items():
+            if flag in cli._BOUNDS:
+                keywords = {**keywords, "type": bounded(flag, cli._BOUNDS[flag])}
             command.add_argument(flag, **keywords)
     return parser
 
@@ -229,6 +244,8 @@ def dash_value(argv):
 @example(argv=["invert", "--expr", "x", "--with-residuals=yes"])
 @example(argv=["invert", "--expr", "x", "--series-json", "{}", "--help"])
 @example(argv=["invert", "--with-residuals", "0.3,0.2", "-h"])
+@example(argv=["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "1000001"])
+@example(argv=["eval", "--expr", "x", "--order", "0", "--help"])
 def test_parse_agrees_with_argparse(argv):
     theirs, (ours, error) = reference(argv), reading(argv)
     if theirs is not None and ours is None:

@@ -2,6 +2,7 @@
 and the modules a start of the command line imports."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -108,14 +109,16 @@ def test_help_and_usage_errors_load_no_argparse(argv, code):
 
 
 def test_counterexample_loads_none_of_the_exact_side(tmp_path):
-    argv = ["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "25",
-            "--out", str(tmp_path / "table.csv")]
-    loaded = loaded_modules(f"from arnold_lab.cli import console_main; "
-                            f"assert console_main({argv!r}) == 0")
-    assert "arnold_lab.numeric" in loaded
-    assert loaded.isdisjoint(SLOW_IMPORTS), sorted(loaded & set(SLOW_IMPORTS))
-    assert loaded.isdisjoint(EXACT_SIDE), sorted(loaded & set(EXACT_SIDE))
-    assert (tmp_path / "table.csv").read_text().count("\n") == 26
+    for fmt in ("csv", "json"):
+        argv = ["counterexample", "--t-min", "1e-6", "--t-max", "0.1", "--points", "25",
+                "--format", fmt, "--out", str(tmp_path / f"table.{fmt}")]
+        loaded = loaded_modules(f"from arnold_lab.cli import console_main; "
+                                f"assert console_main({argv!r}) == 0")
+        assert "arnold_lab.numeric" in loaded
+        assert loaded.isdisjoint(SLOW_IMPORTS), (fmt, sorted(loaded & set(SLOW_IMPORTS)))
+        assert loaded.isdisjoint(EXACT_SIDE), (fmt, sorted(loaded & set(EXACT_SIDE)))
+        text = (tmp_path / f"table.{fmt}").read_text()
+        assert len(json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]) == 25
 
 
 def test_equality_needs_the_same_type():
