@@ -15,10 +15,17 @@ memory, which follows the path.
 
 For each end-to-end metric of the base's BENCHMARK.json, FILE gets each
 side's median and quartiles, the pairs each side won (ties count for
-neither), and whether the medians differ by more than the base's
-interquartile range; also every run's `correct`, `attempted` and `failed`.
-A table goes to stdout.  Exit 0 when every run was correct with nothing
-failed, 3 otherwise, 4 on bad usage.
+neither), whether the medians differ by more than the base's
+interquartile range, and whether the gain rule holds: the change won at
+least 9 of every 10 pairs and its median is better by more than the base's
+interquartile range.  Beside each metric stands the win split of setup_s,
+the drift control: it times `import arnold_lab`, which runs none of the
+program, so a one-sided split there is the host drifting, not the change.
+When the control itself passes the gain rule, either way, FILE's
+control_drifted is true and a warning goes to stderr.  FILE also gets
+every run's `correct`, `attempted` and `failed`.  A table goes to stdout.
+Exit 0 when every run was correct with nothing failed, 3 otherwise, 4 on
+bad usage.
 
 To compare a commit with its parent, check both out beside each other:
 
@@ -37,6 +44,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+# the metric no change to the program moves, read as a control beside every other
+CONTROL = "setup_s"
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -56,8 +65,14 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def gain_rule(wins: int, pairs: int, gap: float, iqr: float) -> bool:
+    """At least 9 of every 10 pairs won, and the median better by more than the base's IQR."""
+    return 10 * wins >= 9 * pairs and gap > iqr
+
+
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's spread, the pairs each side won, and the gap against the base's IQR."""
+    """Per metric: each side's spread, the pairs each side won, the gap against the
+    base's IQR, whether the gain rule holds, and the control's win split beside it."""
     report = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -71,11 +86,14 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
                 won["change" if gap > 0 else "base"] += 1
         entry = {side: spread([values[side] for values in pairs.values()]) for side in SIDES}
         base = entry["base"]
+        gap, iqr = sign * (entry["change"]["median"] - base["median"]), base["q3"] - base["q1"]
         entry.update(
-            unit=metric["unit"], better=metric["better"], won=won,
-            gap_exceeds_base_iqr=abs(entry["change"]["median"] - base["median"]) > base["q3"] - base["q1"],
+            unit=metric["unit"], better=metric["better"], won=won, gap_exceeds_base_iqr=abs(gap) > iqr,
+            gain_rule_holds=gain_rule(won["change"], len(pairs), gap, iqr),
         )
         report[name] = entry
+    for entry in report.values():
+        entry["control_won"] = report[CONTROL]["won"]
     return report
 
 
@@ -119,16 +137,28 @@ def main() -> int:
             print(f"pair {pair} seed {seed} {side}: correct {result['correct']}, "
                   f"failed {result['failed']} of {result['attempted']}", file=sys.stderr)
 
+    compared = compare(runs, metrics)
+    control, base = compared[CONTROL], compared[CONTROL]["base"]
     report = {
         "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-        "python": sys.version.split()[0], "metrics": compare(runs, metrics), "runs": runs,
+        "python": sys.version.split()[0], "metrics": compared,
+        # the control passing the gain rule for either side
+        "control_drifted": gain_rule(max(control["won"].values()), args.pairs,
+                                     abs(control["change"]["median"] - base["median"]),
+                                     base["q3"] - base["q1"]),
+        "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"{'metric':15} {'base median [q1-q3]':>30} {'change median [q1-q3]':>30} {'won b/c':>8}  gap > base IQR")
+    print(f"{'metric':15} {'base median [q1-q3]':>30} {'change median [q1-q3]':>30} {'won b/c':>8}"
+          f"  gap > base IQR  gain rule  {CONTROL} b/c")
     for name, entry in report["metrics"].items():
         cells = [f"{e['median']:.4g} [{e['q1']:.4g}-{e['q3']:.4g}]" for e in (entry["base"], entry["change"])]
-        won = f"{entry['won']['base']}/{entry['won']['change']}"
-        print(f"{name:15} {cells[0]:>30} {cells[1]:>30} {won:>8}  {entry['gap_exceeds_base_iqr']}")
+        won, control = (f"{split['base']}/{split['change']}" for split in (entry["won"], entry["control_won"]))
+        print(f"{name:15} {cells[0]:>30} {cells[1]:>30} {won:>8}  {entry['gap_exceeds_base_iqr']!s:14}"
+              f"  {entry['gain_rule_holds']!s:9}  {control}")
+    if report["control_drifted"]:
+        print(f"ab.py: warning: the control {CONTROL} passes the gain rule, so the host drifted "
+              "between the sides; read no win split of this run as the change's", file=sys.stderr)
     return 0 if all(run["correct"] and run["failed"] == 0 for run in runs) else 3
 
 

@@ -23,14 +23,18 @@ FILE also gets "startup": the median CPU time (user + system, from
 os.wait4) of 11 fresh `python -c pass`, `python -c "import arnold_lab"`,
 `python -c "import arnold_lab.cli"` and `python -c "import arnold_lab.cli,
 arnold_lab.numeric"` processes, and of ones running cli.console_main on a
-one-point counterexample written to os.devnull, run alternately after one
+one-point counterexample written to os.devnull, and of a `python -S`
+process running cli.console_main on `limit --f "tan o sin" --g "sin o tan"
+--order 24`, every child's stdout on os.devnull, run alternately after one
 unrecorded run of each.  The children write their bytecode to a private PYTHONPYCACHEPREFIX
 in a temporary directory, with PYTHONDONTWRITEBYTECODE unset, so the
 unrecorded run fills the cache and the recorded ones read it.  Every
 subcommand pays the import of arnold_lab.cli; counterexample and sweep
 also load arnold_lab.numeric, which limit, eval and invert never do.  The
 one-point counterexample adds to that the parse of its command line and
-the writing of one row.
+the writing of one row.  The limit probe runs without site, whose .pth
+hooks can load modules (re, enum) before the program does and so hide
+what its own imports cost.
 """
 
 import argparse
@@ -59,6 +63,12 @@ ONE_POINT_COUNTEREXAMPLE = (
     "import os; from arnold_lab.cli import console_main; "
     "raise SystemExit(console_main(['counterexample', '--t-min', '0.05', '--t-max', '0.1', "
     "'--points', '1', '--out', os.devnull]))"
+)
+# run under python -S, so no site hook's imports hide the program's own
+LIMIT_NO_SITE = (
+    "from arnold_lab.cli import console_main; "
+    "raise SystemExit(console_main(['limit', '--f', 'tan o sin', '--g', 'sin o tan', "
+    "'--order', '24']))"
 )
 
 
@@ -100,11 +110,13 @@ def coefficient_bits(order: int) -> int:
                for c in inverse.coefficients)
 
 
-def child_cpu_seconds(code: str, env: dict) -> float:
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code], env)
+def child_cpu_seconds(flags: list[str], code: str, env: dict) -> float:
+    """CPU seconds of python FLAGS -c CODE, its stdout on os.devnull."""
+    pid = os.posix_spawn(sys.executable, [sys.executable, *flags, "-c", code], env,
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
     _, status, usage = os.wait4(pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"python -c {code!r} failed")
+        raise SystemExit(f"python {' '.join(flags)} -c {code!r} failed")
     return usage.ru_utime + usage.ru_stime
 
 
@@ -114,16 +126,17 @@ def startup() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    codes = {"python_pass_s": "pass", "import_arnold_lab_s": "import arnold_lab",
-             "import_arnold_lab_cli_s": "import arnold_lab.cli",
-             "import_arnold_lab_cli_numeric_s": "import arnold_lab.cli, arnold_lab.numeric",
-             "counterexample_one_point_s": ONE_POINT_COUNTEREXAMPLE}
+    codes = {"python_pass_s": ([], "pass"), "import_arnold_lab_s": ([], "import arnold_lab"),
+             "import_arnold_lab_cli_s": ([], "import arnold_lab.cli"),
+             "import_arnold_lab_cli_numeric_s": ([], "import arnold_lab.cli, arnold_lab.numeric"),
+             "counterexample_one_point_s": ([], ONE_POINT_COUNTEREXAMPLE),
+             "limit_order_24_no_site_s": (["-S"], LIMIT_NO_SITE)}
     times: dict[str, list[float]] = {name: [] for name in codes}
     with tempfile.TemporaryDirectory() as cache:
         env["PYTHONPYCACHEPREFIX"] = cache
         for run in range(STARTUP_RUNS + 1):
-            for name, code in codes.items():
-                seconds = child_cpu_seconds(code, env)
+            for name, (flags, code) in codes.items():
+                seconds = child_cpu_seconds(flags, code, env)
                 if run:  # the first run of each writes the bytecode cache
                     times[name].append(seconds)
     return {
@@ -181,7 +194,8 @@ def main() -> None:
           f"import arnold_lab {1e3 * start['import_arnold_lab_s']:.1f}ms, "
           f"import arnold_lab.cli {1e3 * start['import_arnold_lab_cli_s']:.1f}ms, "
           f"+ numeric {1e3 * start['import_arnold_lab_cli_numeric_s']:.1f}ms, "
-          f"one-point counterexample {1e3 * start['counterexample_one_point_s']:.1f}ms")
+          f"one-point counterexample {1e3 * start['counterexample_one_point_s']:.1f}ms, "
+          f"limit --order 24 under -S {1e3 * start['limit_order_24_no_site_s']:.1f}ms")
 
 
 if __name__ == "__main__":

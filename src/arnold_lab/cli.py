@@ -191,23 +191,19 @@ def _cmd_help(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import json
-
     from .elementary import eval_text
-    from .series import series_to_json
+    from .series import json_text
 
     series = eval_text(args.expr, args.order)
-    text = json.dumps(series_to_json(series)) if args.format == "json" else _series_text(series)
+    text = json_text(series) if args.format == "json" else _series_text(series)
     _emit([text + "\n"])
     return EXIT_OK
 
 
 def _cmd_invert(args) -> int:
-    import json
-
     from .elementary import eval_text
     from .inversion import compositional_inverse
-    from .series import series_from_json
+    from .series import json_text, series_from_json
 
     if (args.expr is None) == (args.series_json is None):
         raise _Usage("one of the arguments --expr --series-json is required" if args.expr is None
@@ -217,6 +213,8 @@ def _cmd_invert(args) -> int:
             raise _Usage("--order is required with --expr")
         series = eval_text(args.expr, args.order)
     else:
+        import json  # the only JSON the program reads
+
         try:
             obj = json.loads(args.series_json)
         # JSONDecodeError, an integer past int_max_str_digits, or nesting past the stack
@@ -228,18 +226,17 @@ def _cmd_invert(args) -> int:
                 raise _Usage(f"--order {args.order} exceeds the series order {series.order}")
             series = series.truncate(args.order)
     witness = compositional_inverse(series)
-    _emit([json.dumps(witness.to_json_dict()) + "\n"])
+    _emit([json_text(witness) + "\n"])
     return EXIT_OK
 
 
 def _cmd_limit(args) -> int:
-    import json
-
     from .elementary import eval_text
     from .limits import arnold_ratio
+    from .series import json_text
 
     report = arnold_ratio(eval_text(args.f, args.order), eval_text(args.g, args.order))
-    _emit([json.dumps(report.to_json_dict()) + "\n"])
+    _emit([json_text(report) + "\n"])
     return EXIT_OK
 
 

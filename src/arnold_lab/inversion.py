@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .errors import NotInvertible, Record
-from .series import Rational, TruncatedSeries, rational_to_json, series_to_json
+from .series import Rational, TruncatedSeries
 
 
 class InverseWitness(Record):
@@ -25,10 +25,6 @@ class InverseWitness(Record):
     """
 
     _fields = ("inverse", "residuals")
-
-    def to_json_dict(self) -> dict:
-        return {"inverse": series_to_json(self.inverse),
-                "residuals": [rational_to_json(r) for r in self.residuals]}
 
 
 def _check_invertible(f: TruncatedSeries) -> Rational:

@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from .errors import ConditionViolated, IndistinguishableToOrder, Record
 from .inversion import compositional_inverse
-from .series import (
-    TruncatedSeries,
-    rational_to_json,
-    series_to_json,
-    sub,
-    valuation,
-)
+from .series import TruncatedSeries, sub, valuation
 
 
 class ArnoldReport(Record):
@@ -27,16 +21,6 @@ class ArnoldReport(Record):
 
     _fields = ("N", "numerator_leading", "denominator_leading", "limit",
                "f_inverse", "g_inverse")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "numerator_leading": rational_to_json(self.numerator_leading),
-            "denominator_leading": rational_to_json(self.denominator_leading),
-            "limit": rational_to_json(self.limit),
-            "f_inverse": series_to_json(self.f_inverse),
-            "g_inverse": series_to_json(self.g_inverse),
-        }
 
 
 def _require_tangent(label: str, s: TruncatedSeries) -> None:

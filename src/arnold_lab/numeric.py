@@ -246,12 +246,15 @@ def geometric_sample(
     whose inverses are p and q is the flat pair, whose lengths come from
     log-space identities, and every such row is "mirrored".  Any other pair
     is evaluated in doubles.  Its valid configurations, with f(x) and g(x)
-    finite, are f(x) = g(x) as doubles (ratios indeterminate), or f(x) and
-    g(x) on the same side of the diagonal with g strictly off it: the
-    f > g > id picture and its mirror image f < g < id; any other row comes
-    back "configuration_violated".  Its lengths are differences of doubles
-    near x; a row whose smallest gap is under GAP_FLOOR_ULPS ulps of x comes
-    back "unresolved".  Every failure is a flag: a row is returned, never
+    finite, are f(x) = g(x) as doubles, or f(x) and g(x) on the same side of
+    the diagonal with g strictly off it: the f > g > id picture and its
+    mirror image f < g < id; any other row comes back
+    "configuration_violated".  Where f(x) = g(x), the row is "indeterminate"
+    (ratios NaN) only if the two series agree through the lower of their
+    orders; otherwise the gap is lost to rounding, and the row comes back
+    "unresolved".  Its lengths are differences of doubles near x; a row
+    whose smallest gap is under GAP_FLOOR_ULPS ulps of x comes back
+    "unresolved" too.  Every failure is a flag: a row is returned, never
     raised.
     """
     f_inv = f.inverse()
@@ -273,6 +276,10 @@ def geometric_sample(
     ddp = abs(x - g_inv_x)
     fdp = bc
     if fx == gx:
+        # equal doubles are no proof: only series equal through the lower order are
+        n = min(f.series.order, g.series.order) + 1
+        if f.series.coefficients[:n] != g.series.coefficients[:n]:
+            return _flagged_row(x, "unresolved")
         flags.append("indeterminate")
         ratio_ab_bc = ratio_bc_ed = NAN
     elif min(ab, bc, ed) < GAP_FLOOR_ULPS * math.ulp(x):

@@ -206,8 +206,23 @@ def rational_text(r: Rational) -> str:
     return num if r.denominator == 1 else f"{num}/{decimal_text(r.denominator)}"
 
 
-def rational_to_json(r: Rational) -> dict:
-    return {"num": decimal_text(r.numerator), "den": decimal_text(r.denominator)}
+def json_text(value: Rational | TruncatedSeries | Record | tuple | int) -> str:
+    """json.dumps's default text for the JSON of value: a Rational is
+    {"num", "den"} in decimal strings, a TruncatedSeries its order and
+    coefficients, any other Record its _fields in order, a tuple a list, an
+    int itself.  Every string is decimal digits or a field name, so nothing
+    needs escaping."""
+    if isinstance(value, Fraction):
+        num, den = decimal_text(value.numerator), decimal_text(value.denominator)
+        return f'{{"num": "{num}", "den": "{den}"}}'
+    if isinstance(value, TruncatedSeries):
+        return f'{{"order": {value.order}, "coefficients": {json_text(value.coefficients)}}}'
+    if isinstance(value, Record):
+        return "{%s}" % ", ".join(f'"{name}": {json_text(field)}'
+                                  for name, field in zip(value._fields, value))
+    if isinstance(value, tuple):
+        return "[%s]" % ", ".join(map(json_text, value))
+    return str(value)
 
 
 def _json_int(value: object) -> int:
@@ -222,13 +237,6 @@ def rational_from_json(obj: dict) -> Rational:
         return Fraction(_json_int(obj["num"]), _json_int(obj["den"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed rational object: {obj!r}") from exc
-
-
-def series_to_json(s: TruncatedSeries) -> dict:
-    return {
-        "order": s.order,
-        "coefficients": [rational_to_json(c) for c in s.coefficients],
-    }
 
 
 def series_from_json(obj: dict) -> TruncatedSeries:

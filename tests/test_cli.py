@@ -394,15 +394,24 @@ class TestSweep:
             assert "indeterminate" not in proc.stdout
 
     def test_rows_below_rounding_floor_are_unresolved(self):
-        # the pair differs at x^7, so its gaps sink under the rounding of x
+        # the pair differs at x^7, so its gaps sink under the rounding of x, and
+        # where f(x) and g(x) round to one double the series still differ
         proc = run_cli(
             "sweep", "--f", "tan o sin", "--g", "sin o tan",
             "--xs", "0.03,0.02,0.01,0.005,0.003,0.001",
         )
         assert proc.returncode == 0
         flags = [row.split(",")[-1] for row in proc.stdout.strip().split("\n")[1:]]
-        assert flags == ["", "unresolved", "unresolved", "unresolved",
-                         "indeterminate", "indeterminate"]
+        assert flags == ["", "unresolved", "unresolved", "unresolved", "unresolved", "unresolved"]
+
+    def test_subnormal_grid_flags_by_the_series(self):
+        # f(x) = g(x) = x on every row: indeterminate only where the series agree
+        grid = ("--x-min", "1e-320", "--x-max", "1e-300", "--points", "3")
+        for g, code, flag in (("sin o tan", 5, "unresolved"), ("tan o sin", 0, "indeterminate")):
+            proc = run_cli("sweep", "--f", "tan o sin", "--g", g, *grid)
+            assert proc.returncode == code, g
+            flags = [row.split(",")[-1] for row in proc.stdout.strip().split("\n")[1:]]
+            assert flags == [flag] * 3, g
 
     def test_all_rows_below_floor_exit_5(self):
         proc = run_cli("sweep", "--f", "tan o sin", "--g", "sin o tan", "--xs", "0.01,0.005")

@@ -15,7 +15,7 @@ from arnold_lab.elementary import eval_text
 from arnold_lab.errors import ConditionViolated, IndistinguishableToOrder
 from arnold_lab.inversion import compositional_inverse
 from arnold_lab.limits import ArnoldReport, arnold_ratio
-from arnold_lab.series import make_series, series_to_json, sub, valuation
+from arnold_lab.series import json_text, make_series, sub, valuation
 from helpers import (
     GENERIC_ORDER,
     generic_inverse,
@@ -85,7 +85,7 @@ class TestArnoldRatio:
 
     def test_report_json(self):
         report = arnold_ratio(make_series([0, 1, 1, 0]), make_series([0, 1, 0, 1]))
-        obj = report.to_json_dict()
+        obj = json.loads(json_text(report))
         assert set(obj) == {
             "N", "numerator_leading", "denominator_leading", "limit", "f_inverse", "g_inverse",
         }
@@ -168,7 +168,7 @@ class TestLemmaGeneric:
         f = random_tangent_series(random.Random(31), order=GENERIC_ORDER)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert console_main(["invert", "--series-json", json.dumps(series_to_json(f))]) == 0
+            assert console_main(["invert", "--series-json", json_text(f)]) == 0
         printed = [F(int(r["num"]), int(r["den"])) for r in json.loads(out.getvalue())["residuals"]]
         assert printed == [poly_value(poly_add(self.B[n], poly_var(n)), f.coefficients)
                            for n in range(2, GENERIC_ORDER + 1)]

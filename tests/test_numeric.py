@@ -328,6 +328,7 @@ class TestGeometricSampleGeneric:
             (x_plus, SeriesFn(eval_text("x", 6)), 0.1, "configuration_violated"),
             (tan, SeriesFn(eval_text("sin", 12)), 1e308, "configuration_violated"),  # f(x) = inf
             (self.f, self.g, 0.01, "unresolved"),
+            (self.f, self.g, 1e-310, "unresolved"),  # f(x) = g(x) = x, but the series differ
         ]
         for f, g, x, flag in cases:
             self.assert_flagged(geometric_sample(f, g, x), x, flag)
@@ -524,6 +525,7 @@ class TestSweep:
         tables = [
             sweep(*counterexample_pair(), [0.8, 0.11, 0.001]),
             sweep(f, g, [0.3, 0.1, 0.001]),
+            sweep(f, SeriesFn(eval_text("tan o sin", 12)), [0.2]),  # identical pair
             sweep(SeriesFn(eval_text("x + x^2", 6)), SeriesFn(eval_text("x + 2 * x^2", 6)), [0.1]),
         ]
         seen = set()
@@ -551,6 +553,7 @@ class TestSweep:
         pool = [
             *sweep(*counterexample_pair(), [0.8, 0.11, 0.001]).rows,
             *sweep(f, g, [0.3, 0.1, 0.001]).rows,
+            *sweep(f, SeriesFn(eval_text("tan o sin", 12)), [0.2]).rows,  # identical pair
             *sweep(*violated, [0.1]).rows,
             GeometricSample(0.5, math.inf, 1.0, 2.0, 0.25, 1.0, math.inf, 0.5, 0.0, -math.inf, ()),
         ]

@@ -68,13 +68,29 @@ def test_package_imports_no_submodule():
     assert not [name for name in loaded if name.startswith("arnold_lab.")]
 
 
-@pytest.mark.parametrize("argv", [
+# a run of each exact subcommand
+exact_commands = pytest.mark.parametrize("argv", [
     ["limit", "--f", "tan o sin", "--g", "sin o tan", "--order", "8"],
     ["eval", "--expr", "tan o sin", "--order", "8"],
     ["invert", "--expr", "tan o sin", "--order", "8"],
 ], ids=("limit", "eval", "invert"))
+
+
+@exact_commands
 def test_exact_side_loads_no_numeric(argv):
     assert "arnold_lab.numeric" not in modules_after_console_main(argv)
+
+
+@exact_commands
+def test_json_output_loads_no_json(argv):
+    # series.json_text writes every JSON the program prints
+    assert "json" not in modules_after_console_main(argv)
+
+
+def test_series_json_input_loads_json():
+    payload = '{"order": 2, "coefficients": [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}, ' \
+              '{"num": "1", "den": "2"}]}'
+    assert "json" in modules_after_console_main(["invert", "--series-json", payload])
 
 
 # the parser's own imports: argparse loads gettext, and gettext locale

@@ -108,12 +108,13 @@ def test_bench_kernels_small_ladder(tmp_path):
     startup = result["startup"]
     assert set(startup) == {"clock", "bytecode", "python_pass_s", "import_arnold_lab_s",
                             "import_arnold_lab_cli_s", "import_arnold_lab_cli_numeric_s",
-                            "counterexample_one_point_s"}
+                            "counterexample_one_point_s", "limit_order_24_no_site_s"}
     assert 0 < startup["python_pass_s"] and 0 < startup["import_arnold_lab_s"]
     assert 0 < startup["import_arnold_lab_cli_s"] and 0 < startup["import_arnold_lab_cli_numeric_s"]
-    assert 0 < startup["counterexample_one_point_s"]
+    assert 0 < startup["counterexample_one_point_s"] and 0 < startup["limit_order_24_no_site_s"]
     assert "import arnold_lab " in proc.stdout and "import arnold_lab.cli " in proc.stdout
     assert "+ numeric " in proc.stdout and "one-point counterexample " in proc.stdout
+    assert "limit --order 24 under -S " in proc.stdout
 
 
 def _ab(base, change, out):
@@ -145,13 +146,20 @@ def test_ab_same_tree_on_both_sides(tmp_path):
     for run in report["runs"]:
         assert run["correct"] is True and run["failed"] == 0 and run["attempted"] > 0
     assert set(report["metrics"]) == {"cpu_p50_s", "ops_per_cpu_s", "setup_s", "peak_rss_mib"}
+    control = report["metrics"]["setup_s"]["won"]
     for entry in report["metrics"].values():
         for side in ("base", "change"):
             assert len(entry[side]["values"]) == 1
             assert entry[side]["q1"] == entry[side]["median"] == entry[side]["q3"] > 0
         assert sum(entry["won"].values()) <= 1
         assert isinstance(entry["gap_exceeds_base_iqr"], bool)
-    assert "cpu_p50_s" in proc.stdout
+        # one pair, with an IQR of 0: the rule holds exactly when the change won it
+        assert entry["gain_rule_holds"] is (entry["won"]["change"] == 1)
+        assert entry["control_won"] == control
+    # one pair that either side won passes the rule, so the control then reads as drift
+    assert report["control_drifted"] is (sum(control.values()) == 1)
+    assert ("warning: the control setup_s" in proc.stderr) is report["control_drifted"]
+    assert "cpu_p50_s" in proc.stdout and "gain rule" in proc.stdout
 
 
 def test_ab_refuses_paths_of_different_length(tmp_path):

@@ -1,5 +1,8 @@
-"""series core: construction, ring operations, composition, powers."""
+"""series core: construction, ring operations, composition, powers, JSON."""
 
+import contextlib
+import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,21 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnold_lab.errors import BinomialDomain, CompositionDomain, DivisionDomain, InvalidInput
+from arnold_lab.inversion import InverseWitness
+from arnold_lab.limits import ArnoldReport
 from arnold_lab.series import (
     TruncatedSeries,
     add,
     compose,
     divide,
     identity_series,
+    json_text,
     make_series,
     mul,
     one_series,
     pow_binomial,
     rational_from_json,
-    rational_to_json,
     scale,
     series_from_json,
-    series_to_json,
     sub,
     valuation,
     zero_series,
@@ -187,16 +191,63 @@ class TestRingLaws:
         assert mul(q, d.truncate(order)) == n.truncate(order)
 
 
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """str(n) at any length, for the oracle; a Python without the limit needs nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# the JSON of each value, built by hand as the encoder's oracle
+def rational_oracle(r: F) -> dict:
+    return {"num": str(r.numerator), "den": str(r.denominator)}
+
+
+def series_oracle(s: TruncatedSeries) -> dict:
+    return {"order": len(s.coefficients) - 1,
+            "coefficients": [rational_oracle(c) for c in s.coefficients]}
+
+
+def report_oracle(report: ArnoldReport) -> dict:
+    return {"N": report.N,
+            "numerator_leading": rational_oracle(report.numerator_leading),
+            "denominator_leading": rational_oracle(report.denominator_leading),
+            "limit": rational_oracle(report.limit),
+            "f_inverse": series_oracle(report.f_inverse),
+            "g_inverse": series_oracle(report.g_inverse)}
+
+
+def witness_oracle(witness: InverseWitness) -> dict:
+    return {"inverse": series_oracle(witness.inverse),
+            "residuals": [rational_oracle(r) for r in witness.residuals]}
+
+
+# small integers, and ones past the 4300 digits str() refuses by default
+integers = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(lambda sign, digits, low: sign * (10**digits + low),
+              st.sampled_from((-1, 1)), st.integers(4300, 4400), st.integers(0, 10**9)),
+)
+any_rationals = st.builds(F, integers, integers.filter(bool))
+any_series = st.lists(any_rationals, min_size=1, max_size=8).map(make_series)
+
+
 class TestJson:
     def test_rational_round_trip(self):
         r = F(-22, 7)
-        encoded = rational_to_json(r)
+        encoded = json.loads(json_text(r))
         assert encoded == {"num": "-22", "den": "7"}
         assert rational_from_json(encoded) == r
 
     def test_series_round_trip(self):
         s = make_series([0, F(1, 3), -2])
-        obj = series_to_json(s)
+        obj = json.loads(json_text(s))
         assert obj["order"] == 2
         assert series_from_json(obj) == s
 
@@ -204,4 +255,18 @@ class TestJson:
         with pytest.raises(InvalidInput):
             rational_from_json({"num": "1"})
         with pytest.raises(InvalidInput):
-            series_from_json({"order": 3, "coefficients": [rational_to_json(F(1))]})
+            series_from_json({"order": 3, "coefficients": [json.loads(json_text(F(1)))]})
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=any_rationals, s=any_series,
+           report=st.builds(ArnoldReport, st.integers(1, 10**4), any_rationals, any_rationals,
+                            any_rationals, any_series, any_series),
+           witness=st.builds(InverseWitness, any_series,
+                             st.lists(any_rationals, max_size=6).map(tuple)))
+    def test_json_text_is_json_dumps(self, r, s, report, witness):
+        values = (r, s, report, witness, F(0), F(-1, 3))
+        texts = [json_text(value) for value in values]  # under the default digit limit
+        with unlimited_int_digits():
+            oracles = [rational_oracle(r), series_oracle(s), report_oracle(report),
+                       witness_oracle(witness), {"num": "0", "den": "1"}, {"num": "-1", "den": "3"}]
+            assert texts == [json.dumps(oracle) for oracle in oracles]
